@@ -74,9 +74,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Tensor{tag} shape={self.values.shape}>"
@@ -225,10 +222,6 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _node(values, (x,), backprop, "gather_rows")
 
 
-# An embedding lookup is a row gather on the embedding table.
-embedding_lookup = gather_rows
-
-
 def row_softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis, numerically stabilised."""
     x = as_tensor(x)
@@ -241,16 +234,6 @@ def row_softmax(x: Tensor) -> Tensor:
         _accumulate(x, (g - inner) * out_values)
 
     return _node(out_values, (x,), backprop, "row_softmax")
-
-
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    values = np.maximum(x.values, 0.0)
-
-    def backprop(g):
-        _accumulate(x, g * (x.values > 0.0))
-
-    return _node(values, (x,), backprop, "relu")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -18,25 +18,16 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import __version__
 from .checkpoint import CheckpointError
-from .evaluate import evaluate, format_report, merge_reports
+from .evaluate import EvalReport, evaluate, format_report, predictions_to_relations
 from .frames import augment_document, build_frames, frames_to_jsonl
-from .model import ModelConfig, ModelError, PairwiseREModel, PredictedRelation, masked_loss
+from .model import ModelConfig, ModelError, PredictedRelation, grad_check_fixture, masked_loss
 from .optim import finite_diff_check
 from .schema import SchemaError, UnknownProfileError, resolve_profile
-from .standoff import (
-    Document,
-    StandoffError,
-    parse_standoff,
-    read_corpus_dir,
-    serialize_standoff,
-    write_corpus_dir,
-)
+from .standoff import Document, StandoffError, read_corpus_dir, read_document, write_corpus_dir
 from .stats import corpus_stats
 from .synth import GenConfig, GenerationError, generate_corpus, write_corpus
 from .train import (
@@ -48,7 +39,7 @@ from .train import (
     save_bundle,
     train,
 )
-from .windowing import PairTarget, WindowingError
+from .windowing import WindowingError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,36 +95,41 @@ def _coerce(name: str, raw: str, kind):
 
 
 class Options:
-    """Flag > environment > config file > default, per option."""
+    """Flag > environment > config file > default, per option of the run's subcommand."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self.spec = {opt.name: opt for opt in OPTIONS if args.subcommand in opt.commands}
         self.file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
         self.echo: dict = {}
+        self.started = time.time()
 
-    def get(self, name: str, kind, default):
+    def get(self, name: str):
+        opt = self.spec[name]
         flag = getattr(self.args, name, None)
         if flag is not None:
             value = flag
         else:
             env = os.environ.get(ENV_PREFIX + name.upper())
             if env is not None:
-                value = _coerce(name, env, kind)
+                value = _coerce(name, env, opt.kind)
             elif name in self.file_values:
-                value = _coerce(name, self.file_values[name], kind)
+                value = _coerce(name, self.file_values[name], opt.kind)
             else:
-                value = default
+                value = opt.default
+        if opt.choices and value not in opt.choices:
+            raise ConfigError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
         self.echo[name] = value
         return value
 
-    def unknown_file_keys(self, known: set[str]) -> set[str]:
-        return set(self.file_values) - known
-
-
-def _resolve(workdir: str, path: str | None) -> str | None:
-    if path is None:
-        return None
-    return path if os.path.isabs(path) else os.path.join(workdir, path)
+    def path(self, name: str, required: bool = False) -> str | None:
+        """A path option, resolved against --workdir."""
+        workdir, value = self.get("workdir"), self.get(name)
+        if value is None:
+            if required:
+                raise ConfigError(f"{self.args.subcommand} needs {self.spec[name].flag}")
+            return None
+        return value if os.path.isabs(value) else os.path.join(workdir, value)
 
 
 def _write_json(path: str, payload) -> None:
@@ -144,71 +140,75 @@ def _write_json(path: str, payload) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(out_dir: str, subcommand: str, options: Options, inputs: list[str],
-                    outputs: list[str], started: float) -> None:
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _write_manifest(out_dir: str, options: Options, inputs: list[str], outputs: list[str]) -> None:
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": options.args.subcommand,
         "config": {k: options.echo[k] for k in sorted(options.echo)},
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
         "seed": options.echo.get("seed"),
         "tool_version": __version__,
-        "duration_seconds": round(time.time() - started, 3),
+        "duration_seconds": round(time.time() - options.started, 3),
     }
     _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
-def _load_entity_documents(path: str, schema) -> dict[str, Document]:
-    """Lax-parsed documents keyed by id; relations dropped, unknown types mapped aside."""
+def _corpus_files(out_dir: str, docs: list[Document]) -> list[str]:
+    return [os.path.join(out_dir, f"{d.doc_id}.{ext}") for d in docs for ext in ("txt", "ann")]
+
+
+def _load_entity_documents(path: str, schema) -> dict[str, Document | None]:
+    """Lax-parsed documents keyed by id (None where the .ann file is missing; callers report it)."""
     docs = {}
-    for name in sorted(os.listdir(path)):
-        if not name.endswith(".txt"):
-            continue
-        doc_id = name[:-4]
+    for name in sorted(f for f in os.listdir(path) if f.endswith(".txt")):
         txt_path = os.path.join(path, name)
-        ann_path = os.path.join(path, doc_id + ".ann")
-        text = open(txt_path, encoding="utf-8").read()
-        ann = open(ann_path, encoding="utf-8").read() if os.path.exists(ann_path) else None
-        if ann is None:
-            docs[doc_id] = None  # recorded as missing; caller reports
-            continue
-        parsed = parse_standoff(text, ann, schema, doc_id=doc_id, strict=False)
-        docs[doc_id] = parsed
+        has_ann = os.path.exists(txt_path[:-4] + ".ann")
+        docs[name[:-4]] = read_document(txt_path, schema, strict=False) if has_ann else None
     return docs
 
 
-def _predictions_payload(doc_id: str, predictions: list[PredictedRelation]) -> list[str]:
-    lines = []
-    for p in predictions:
-        lines.append(json.dumps({
-            "doc_id": doc_id,
-            "rtype": p.rtype,
-            "prob": round(p.prob, 6),
-            "source": {"id": p.source.id, "type": p.source.etype, "start": p.source.start,
-                       "end": p.source.end, "text": p.source.surface},
-            "target": {"id": p.target.id, "type": p.target.etype, "start": p.target.start,
-                       "end": p.target.end, "text": p.target.surface},
-        }, ensure_ascii=False, sort_keys=True))
-    return lines
+def _relation_row(doc_id: str, p: PredictedRelation) -> str:
+    return json.dumps({
+        "doc_id": doc_id,
+        "rtype": p.rtype,
+        "prob": round(p.prob, 6),
+        "source": {"id": p.source.id, "type": p.source.etype, "start": p.source.start,
+                   "end": p.source.end, "text": p.source.surface},
+        "target": {"id": p.target.id, "type": p.target.etype, "start": p.target.start,
+                   "end": p.target.end, "text": p.target.surface},
+    }, ensure_ascii=False, sort_keys=True)
 
 
-def _write_predictions(out_dir: str, doc: Document, entities, predictions) -> list[str]:
-    """Predicted relations as standoff over the given entities, plus JSONL rows."""
-    from .standoff import Relation
+def _write_prediction_dir(out_dir: str, docs: list[Document], entities_map: dict,
+                          predictions: dict[str, list[PredictedRelation]]) -> list[str]:
+    """Predicted relations as standoff over the given entities, plus relations.jsonl rows."""
+    pred_docs = [
+        Document(doc.doc_id, doc.text, tuple(entities_map[doc.doc_id]),
+                 tuple(predictions_to_relations(predictions[doc.doc_id])))
+        for doc in docs
+    ]
+    write_corpus_dir(pred_docs, out_dir)
+    relations_path = os.path.join(out_dir, "relations.jsonl")
+    _write_lines(relations_path, [_relation_row(doc.doc_id, p) for doc in docs for p in predictions[doc.doc_id]])
+    return _corpus_files(out_dir, pred_docs) + [relations_path]
 
-    rel_records = tuple(
-        Relation(f"R{i}", p.rtype, p.source.id, p.target.id)
-        for i, p in enumerate(predictions, start=1)
-    )
-    pred_doc = Document(doc.doc_id, doc.text, tuple(entities), rel_records)
-    text, ann = serialize_standoff(pred_doc)
-    txt_path = os.path.join(out_dir, f"{doc.doc_id}.txt")
-    ann_path = os.path.join(out_dir, f"{doc.doc_id}.ann")
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    with open(ann_path, "w", encoding="utf-8") as fh:
-        fh.write(ann)
-    return [txt_path, ann_path]
+
+def _emit_reports(out_dir: str | None, reports: dict[str, EvalReport]) -> list[str]:
+    """Print each report; with an output directory, also write it as eval_<mode>.json."""
+    paths = []
+    for mode, report in reports.items():
+        print(format_report(report))
+        print()
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            paths.append(os.path.join(out_dir, f"eval_{mode}.json"))
+            _write_json(paths[-1], report.to_dict())
+    return paths
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -216,49 +216,31 @@ def _write_predictions(out_dir: str, doc: Document, entities, predictions) -> li
 
 def _cmd_generate(args) -> int:
     options = Options(args)
-    started = time.time()
-    workdir = options.get("workdir", str, ".")
-    out = _resolve(workdir, options.get("out", str, None))
-    if out is None:
-        raise ConfigError("generate needs --out")
+    out = options.path("out", required=True)
     cfg = GenConfig(
-        seed=options.get("seed", int, 0),
-        doc_count=options.get("docs", int, 50),
-        schema_name=options.get("schema", str, "corp-hus"),
-        multi_frame_rate=options.get("multi_frame_rate", float, 0.04),
-        context_relation_rate=options.get("context_relation_rate", float, 0.5),
-        filler_rate=options.get("filler_rate", float, 0.25),
-        sentences_min=options.get("sentences_min", int, 3),
-        sentences_max=options.get("sentences_max", int, 8),
+        seed=options.get("seed"),
+        doc_count=options.get("docs"),
+        schema_name=options.get("schema"),
+        multi_frame_rate=options.get("multi_frame_rate"),
+        context_relation_rate=options.get("context_relation_rate"),
+        filler_rate=options.get("filler_rate"),
+        sentences_min=options.get("sentences_min"),
+        sentences_max=options.get("sentences_max"),
     )
-    threads = options.get("threads", int, 1)
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
-    schema = cfg.schema()
-    if threads == 1:
-        docs = generate_corpus(cfg)
-    else:
-        from .synth import _generate_document
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            docs = list(pool.map(lambda i: _generate_document(i, cfg, schema), range(cfg.doc_count)))
+    docs = generate_corpus(cfg)
     os.makedirs(out, exist_ok=True)
     write_corpus(docs, out, cfg)
-    outputs = [os.path.join(out, f"{d.doc_id}.{ext}") for d in docs for ext in ("txt", "ann")]
-    _write_manifest(out, "generate", options, [], outputs + [os.path.join(out, "manifest.json")], started)
+    outputs = _corpus_files(out, docs) + [os.path.join(out, "manifest.json")]
+    _write_manifest(out, options, [], outputs)
     print(f"wrote {len(docs)} documents to {out}")
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
     options = Options(args)
-    workdir = options.get("workdir", str, ".")
-    data = _resolve(workdir, options.get("data", str, None))
-    if data is None:
-        raise ConfigError("stats needs --data")
-    schema = resolve_profile(options.get("schema", str, "corp-hus"))
-    strict = not options.get("lax", bool, False)
-    docs = read_corpus_dir(data, schema, strict=strict)
+    data = options.path("data", required=True)
+    schema = resolve_profile(options.get("schema"))
+    docs = read_corpus_dir(data, schema, strict=not options.get("lax"))
     payload = corpus_stats(docs, schema).to_dict()
     print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
     return EXIT_OK
@@ -266,25 +248,17 @@ def _cmd_stats(args) -> int:
 
 def _cmd_convert_frames(args) -> int:
     options = Options(args)
-    started = time.time()
-    workdir = options.get("workdir", str, ".")
-    data = _resolve(workdir, options.get("data", str, None))
-    out = _resolve(workdir, options.get("out", str, None))
-    mode = options.get("mode", str, "add-same-frame")
-    if data is None:
-        raise ConfigError("convert-frames needs --data")
-    if mode not in ("add-same-frame", "report"):
-        raise ConfigError(f"--mode must be add-same-frame or report, got {mode!r}")
-    schema = resolve_profile(options.get("schema", str, "corp-hus"))
+    data = options.path("data", required=True)
+    out = options.path("out")
+    mode = options.get("mode")
+    schema = resolve_profile(options.get("schema"))
     docs = read_corpus_dir(data, schema)
     if mode == "add-same-frame":
         if out is None:
             raise ConfigError("convert-frames --mode add-same-frame needs --out")
-        os.makedirs(out, exist_ok=True)
         augmented = [augment_document(d, schema) for d in docs]
         write_corpus_dir(augmented, out)
-        outputs = [os.path.join(out, f"{d.doc_id}.{ext}") for d in augmented for ext in ("txt", "ann")]
-        _write_manifest(out, "convert-frames", options, [data], outputs, started)
+        _write_manifest(out, options, [data], _corpus_files(out, augmented))
         print(f"wrote {len(augmented)} augmented documents to {out}")
     else:
         lines = []
@@ -296,63 +270,48 @@ def _cmd_convert_frames(args) -> int:
         else:
             os.makedirs(out, exist_ok=True)
             report_path = os.path.join(out, "frames.jsonl")
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + ("\n" if lines else ""))
-            _write_manifest(out, "convert-frames", options, [data], [report_path], started)
+            _write_lines(report_path, lines)
+            _write_manifest(out, options, [data], [report_path])
             print(f"wrote {len(lines)} frames to {report_path}")
     return EXIT_OK
 
 
-def _train_config_from(options: Options, epochs_default: int = 60) -> TrainConfig:
+def _train_config_from(options: Options) -> TrainConfig:
     return TrainConfig(
-        epochs=options.get("epochs", int, epochs_default),
-        batch_size=options.get("batch_size", int, 10),
-        peak_lr=options.get("lr", float, 1e-4),
-        warmup_fraction=options.get("warmup_fraction", float, 0.1),
-        window_chars=options.get("window", int, 300),
-        stride_chars=options.get("stride", int, None),
-        frame_augmentation=options.get("frame_augmentation", bool, False),
-        null_class_weight=options.get("null_weight", float, 1.0),
-        seed=options.get("seed", int, 0),
+        epochs=options.get("epochs"),
+        batch_size=options.get("batch_size"),
+        peak_lr=options.get("lr"),
+        warmup_fraction=options.get("warmup_fraction"),
+        window_chars=options.get("window"),
+        stride_chars=options.get("stride"),
+        frame_augmentation=options.get("frame_augmentation"),
+        null_class_weight=options.get("null_weight"),
+        seed=options.get("seed"),
     )
 
 
-def _model_overrides_from(options: Options) -> dict:
-    overrides = {}
-    for name, kind, default in (
-        ("d_model", int, None), ("encoder_layers", int, None), ("encoder_heads", int, None),
-        ("label_emb_dim", int, None), ("fusion_heads", int, None), ("relpos_emb_dim", int, None),
-        ("hidden_dim", int, None), ("max_rel_dist", int, None), ("dropout", float, None),
-    ):
-        value = options.get(name, kind, default)
-        if value is not None:
-            overrides[name] = value
-    return overrides
+def _model_overrides_from(options: Options) -> dict | None:
+    overrides = {name: options.get(name) for name in MODEL_OPTION_HELP}
+    return {name: value for name, value in overrides.items() if value is not None} or None
 
 
 def _cmd_train(args) -> int:
     options = Options(args)
-    started = time.time()
-    workdir = options.get("workdir", str, ".")
-    data = _resolve(workdir, options.get("data", str, None))
-    out = _resolve(workdir, options.get("out", str, None))
-    if data is None or out is None:
-        raise ConfigError("train needs --data and --out")
-    schema = resolve_profile(options.get("schema", str, "corp-hus"))
+    data = options.path("data", required=True)
+    out = options.path("out", required=True)
+    schema = resolve_profile(options.get("schema"))
     config = _train_config_from(options)
     overrides = _model_overrides_from(options)
     docs = read_corpus_dir(data, schema)
-    result = train(docs, schema, config, model_overrides=overrides or None)
+    result = train(docs, schema, config, model_overrides=overrides)
     os.makedirs(out, exist_ok=True)
     ckpt_path = os.path.join(out, "model.ckpt")
     save_bundle(ckpt_path, result)
     log_path = os.path.join(out, "run_log.jsonl")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for record in result.run_log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_lines(log_path, [json.dumps(record, sort_keys=True) for record in result.run_log])
     report_path = os.path.join(out, "window_report.json")
     _write_json(report_path, result.window_report.to_dict())
-    _write_manifest(out, "train", options, [data], [ckpt_path, log_path, report_path], started)
+    _write_manifest(out, options, [data], [ckpt_path, log_path, report_path])
     print(
         f"trained on {result.window_report.segments_emitted} segments for {config.epochs} epochs "
         f"({result.total_seconds:.1f}s, final loss {result.run_log[-1]['loss']:.4f}); checkpoint at {ckpt_path}"
@@ -362,58 +321,26 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     options = Options(args)
-    started = time.time()
-    workdir = options.get("workdir", str, ".")
-    data = _resolve(workdir, options.get("data", str, None))
-    out = _resolve(workdir, options.get("out", str, None))
-    ckpt = _resolve(workdir, options.get("ckpt", str, None))
-    label_source = options.get("label_source", str, "gold")
-    if data is None or out is None or ckpt is None:
-        raise ConfigError("predict needs --ckpt, --data and --out")
-    if label_source not in ("gold", "provided"):
-        raise ConfigError(f"--label-source must be gold or provided, got {label_source!r}")
+    data = options.path("data", required=True)
+    out = options.path("out", required=True)
+    ckpt = options.path("ckpt", required=True)
+    strict = options.get("label_source") == "gold"  # provided entity files parse laxly
     bundle = load_bundle(ckpt)
-    os.makedirs(out, exist_ok=True)
-    outputs = []
-    jsonl: list[str] = []
-    if label_source == "gold":
-        docs = read_corpus_dir(data, bundle.schema, strict=True)
-        entity_docs = {d.doc_id: d for d in docs}
-    else:
-        entity_docs = _load_entity_documents(data, bundle.schema)
-        missing = sorted(doc_id for doc_id, d in entity_docs.items() if d is None)
-        if missing:
-            raise FileNotFoundError(f"missing .ann entity files for: {', '.join(missing)}")
-        docs = list(entity_docs.values())
-    for doc in docs:
-        entities = list(entity_docs[doc.doc_id].entities)
-        predictions = bundle.predict(doc, entities=entities)
-        outputs.extend(_write_predictions(out, doc, entities, predictions))
-        jsonl.extend(_predictions_payload(doc.doc_id, predictions))
-    report_path = os.path.join(out, "relations.jsonl")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(jsonl) + ("\n" if jsonl else ""))
-    _write_manifest(out, "predict", options, [data, ckpt], outputs + [report_path], started)
+    docs = read_corpus_dir(data, bundle.schema, strict=strict)
+    predictions = bundle.predict_corpus(docs)
+    outputs = _write_prediction_dir(out, docs, {d.doc_id: d.entities for d in docs}, predictions)
+    _write_manifest(out, options, [data, ckpt], outputs)
     print(f"predicted relations for {len(docs)} documents into {out}")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
     options = Options(args)
-    started = time.time()
-    workdir = options.get("workdir", str, ".")
-    gold_dir = _resolve(workdir, options.get("gold", str, None))
-    pred_dir = _resolve(workdir, options.get("pred", str, None))
-    out = _resolve(workdir, options.get("out", str, None))
-    mode = options.get("mode", str, "both")
-    threads = options.get("threads", int, 1)
-    if gold_dir is None or pred_dir is None:
-        raise ConfigError("evaluate needs --gold and --pred")
-    if mode not in ("strict", "lenient", "both"):
-        raise ConfigError(f"--mode must be strict, lenient or both, got {mode!r}")
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
-    schema = resolve_profile(options.get("schema", str, "corp-hus"))
+    gold_dir = options.path("gold", required=True)
+    pred_dir = options.path("pred", required=True)
+    out = options.path("out")
+    mode = options.get("mode")
+    schema = resolve_profile(options.get("schema"))
     gold_docs = read_corpus_dir(gold_dir, schema, strict=True)
     pred_docs = _load_entity_documents(pred_dir, schema)
     predictions: dict[str, list[PredictedRelation]] = {}
@@ -425,171 +352,85 @@ def _cmd_evaluate(args) -> int:
             PredictedRelation(r.rtype, by_id[r.source], by_id[r.target], 1.0)
             for r in pred_doc.relations
         ]
-    modes = ["strict", "lenient"] if mode == "both" else [mode]
-    outputs = []
-
-    def run_mode(m):
-        if threads == 1 or len(gold_docs) < 2:
-            return m, evaluate(gold_docs, predictions, m, schema)
-        # parallel over documents; summing integer counts makes the merge
-        # independent of completion order
-        chunks = [gold_docs[i::threads] for i in range(threads) if gold_docs[i::threads]]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda chunk: evaluate(chunk, predictions, m, schema), chunks))
-        return m, merge_reports(partials)
-
-    results = [run_mode(m) for m in modes]
-    for m, report in results:
-        print(format_report(report))
-        print()
-        if out is not None:
-            os.makedirs(out, exist_ok=True)
-            path = os.path.join(out, f"eval_{m}.json")
-            _write_json(path, report.to_dict())
-            outputs.append(path)
+    modes = ("strict", "lenient") if mode == "both" else (mode,)
+    outputs = _emit_reports(out, {m: evaluate(gold_docs, predictions, m, schema) for m in modes})
     if out is not None:
-        _write_manifest(out, "evaluate", options, [gold_dir, pred_dir], outputs, started)
+        _write_manifest(out, options, [gold_dir, pred_dir], outputs)
     return EXIT_OK
 
 
 def _cmd_end_to_end(args) -> int:
     options = Options(args)
-    started = time.time()
-    workdir = options.get("workdir", str, ".")
-    data = _resolve(workdir, options.get("data", str, None))
-    gold_dir = _resolve(workdir, options.get("gold", str, None))
-    out = _resolve(workdir, options.get("out", str, None))
-    ckpt = _resolve(workdir, options.get("ckpt", str, None))
-    if data is None or gold_dir is None or out is None or ckpt is None:
-        raise ConfigError("end-to-end needs --ckpt, --data (predicted entities), --gold and --out")
+    data = options.path("data", required=True)
+    gold_dir = options.path("gold", required=True)
+    out = options.path("out", required=True)
+    ckpt = options.path("ckpt", required=True)
     bundle = load_bundle(ckpt)
     gold_docs = read_corpus_dir(gold_dir, bundle.schema, strict=True)
     entity_docs = _load_entity_documents(data, bundle.schema)
-    missing = sorted(
-        [d.doc_id for d in gold_docs if entity_docs.get(d.doc_id) is None]
-    )
+    missing = sorted(d.doc_id for d in gold_docs if entity_docs.get(d.doc_id) is None)
     if missing:
         raise FileNotFoundError(f"missing entity files for documents: {', '.join(missing)}")
     entities_map = {doc_id: list(d.entities) for doc_id, d in entity_docs.items() if d is not None}
     predictions, frame_sets, reports = end_to_end(gold_docs, entities_map, bundle)
-    os.makedirs(out, exist_ok=True)
-    outputs = []
-    jsonl = []
-    for doc in gold_docs:
-        outputs.extend(_write_predictions(out, doc, entities_map[doc.doc_id], predictions[doc.doc_id]))
-        jsonl.extend(_predictions_payload(doc.doc_id, predictions[doc.doc_id]))
-    relations_path = os.path.join(out, "relations.jsonl")
-    with open(relations_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(jsonl) + ("\n" if jsonl else ""))
-    outputs.append(relations_path)
+    outputs = _write_prediction_dir(out, gold_docs, entities_map, predictions)
     frame_lines = []
-    entity_doc_by_id = {doc_id: d for doc_id, d in entity_docs.items() if d is not None}
     for doc_id in sorted(frame_sets):
-        frame_lines.extend(frames_to_jsonl(entity_doc_by_id[doc_id], frame_sets[doc_id]))
+        frame_lines.extend(frames_to_jsonl(entity_docs[doc_id], frame_sets[doc_id]))
     frames_path = os.path.join(out, "frames.jsonl")
-    with open(frames_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(frame_lines) + ("\n" if frame_lines else ""))
-    outputs.append(frames_path)
-    for m, report in reports.items():
-        print(format_report(report))
-        print()
-        path = os.path.join(out, f"eval_{m}.json")
-        _write_json(path, report.to_dict())
-        outputs.append(path)
-    _write_manifest(out, "end-to-end", options, [data, gold_dir, ckpt], outputs, started)
+    _write_lines(frames_path, frame_lines)
+    outputs += [frames_path, *_emit_reports(out, reports)]
+    _write_manifest(out, options, [data, gold_dir, ckpt], outputs)
     return EXIT_OK
 
 
 def _cmd_cost_report(args) -> int:
     options = Options(args)
-    started = time.time()
-    workdir = options.get("workdir", str, ".")
-    data = _resolve(workdir, options.get("data", str, None))
-    out = _resolve(workdir, options.get("out", str, None))
-    if data is None:
-        raise ConfigError("cost-report needs --data")
-    schema = resolve_profile(options.get("schema", str, "corp-hus"))
-    config = _train_config_from(options, epochs_default=1)
+    data = options.path("data", required=True)
+    out = options.path("out")
+    schema = resolve_profile(options.get("schema"))
+    config = _train_config_from(options)
     overrides = _model_overrides_from(options)
     docs = read_corpus_dir(data, schema)
-    report = cost_report(docs, schema, config, model_overrides=overrides or None)
-    payload = report.to_dict()
+    payload = cost_report(docs, schema, config, model_overrides=overrides).to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if out is not None:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "cost_report.json")
         _write_json(path, payload)
-        _write_manifest(out, "cost-report", options, [data], [path], started)
+        _write_manifest(out, options, [data], [path])
     return EXIT_OK
 
 
-def _grad_check_fixture(d_model: int, seq: int, n_entities: int, seed: int):
-    """Deterministic synthetic segment plus a model sized for it."""
-    from .windowing import EncodedSegment
-
-    rng = np.random.default_rng(seed)
-    config = ModelConfig(
-        vocab_size=50,
-        num_entity_types=10,
-        num_classes=8,
-        d_model=d_model,
-        encoder_heads=4 if d_model % 4 == 0 else 2,
-        label_emb_dim=32,
-        fusion_heads=4,
-        max_positions=seq + 8,
-        dropout=0.0,
-        seed=seed,
-    )
-    model = PairwiseREModel(config)
-    token_ids = tuple(int(x) for x in rng.integers(5, config.vocab_size, size=seq))
-    heads = sorted(int(i) for i in rng.choice(seq, size=n_entities, replace=False))
-    label_ids = [0] * seq
-    for k, pos in enumerate(heads):
-        label_ids[pos] = (k % config.num_entity_types) + 1
-    targets = []
-    for a in range(n_entities):
-        for b in range(n_entities):
-            if a != b:
-                cls = int(rng.integers(0, config.num_classes)) if rng.random() < 0.5 else 0
-                targets.append(PairTarget(heads[a], heads[b], cls))
-    segment = EncodedSegment(
-        doc_id="grad-check", window_start=0, window_end=seq,
-        token_ids=token_ids, label_ids=tuple(label_ids), entities=(),
-        entity_spans=tuple((h, h) for h in heads), targets=tuple(targets),
-    )
-    return model, segment
+GRAD_CHECK_PRESETS = {
+    "small": dict(d_model=16, seq=12, entities=3, samples=25),
+    "full": dict(d_model=64, seq=24, entities=4, samples=200),
+}
 
 
 def _cmd_grad_check(args) -> int:
-    presets = {
-        "small": dict(d_model=16, seq=12, entities=3, samples=25),
-        "full": dict(d_model=64, seq=24, entities=4, samples=200),
-    }
     # --config accepts a preset name as shorthand (grad-check --config small)
-    if getattr(args, "config", None) in presets:
+    if getattr(args, "config", None) in GRAD_CHECK_PRESETS:
         args.preset = args.config
         args.config = None
     options = Options(args)
-    preset = options.get("preset", str, "full")
-    if preset not in presets:
-        raise ConfigError(f"--preset must be one of {sorted(presets)}, got {preset!r}")
-    chosen = presets[preset]
-    d_model = options.get("d_model", int, chosen["d_model"])
-    seq = options.get("seq", int, chosen["seq"])
-    entities = options.get("entities", int, chosen["entities"])
-    samples = options.get("samples", int, chosen["samples"])
-    tol = options.get("tol", float, 1e-4)
-    seed = options.get("seed", int, 0)
-    model, segment = _grad_check_fixture(d_model, seq, entities, seed)
+    preset = options.get("preset")
+    sizes = {
+        name: default if (value := options.get(name)) is None else value
+        for name, default in GRAD_CHECK_PRESETS[preset].items()
+    }
+    tol = options.get("tol")
+    seed = options.get("seed")
+    model, segment = grad_check_fixture(sizes["d_model"], sizes["seq"], sizes["entities"], seed)
     started = time.perf_counter()
     result = finite_diff_check(
         lambda: masked_loss(model.forward(segment), segment.targets),
         model.params,
-        samples_per_param=samples,
+        samples_per_param=sizes["samples"],
         seed=seed,
     )
     elapsed = time.perf_counter() - started
-    print(f"grad-check preset={preset} d_model={d_model} seq={seq} entities={entities}")
+    print(f"grad-check preset={preset} d_model={sizes['d_model']} seq={sizes['seq']} entities={sizes['entities']}")
     print(f"{result} in {elapsed:.1f}s")
     if result.max_rel_error < tol:
         print(f"PASS (< {tol:g})")
@@ -598,38 +439,114 @@ def _cmd_grad_check(args) -> int:
     return 1
 
 
-# --- argument parsing --------------------------------------------------------
+# --- option table and argument parsing ---------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workdir", help="base directory for relative paths (default: .)")
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--seed", type=int, help="run seed (default: 0)")
+SUBCOMMANDS = {
+    "generate": (_cmd_generate, "write a synthetic gold-annotated corpus"),
+    "stats": (_cmd_stats, "corpus tallies as JSON"),
+    "convert-frames": (_cmd_convert_frames, "add SAME_FRAME edges or emit a frame report"),
+    "train": (_cmd_train, "train the pairwise model"),
+    "predict": (_cmd_predict, "predict relations with a trained checkpoint"),
+    "evaluate": (_cmd_evaluate, "score predicted .ann files against gold"),
+    "end-to-end": (_cmd_end_to_end, "predict over upstream-tagger entity files (--data) and score against --gold"),
+    "cost-report": (_cmd_cost_report, "pairwise vs per-pair baseline training cost"),
+    "grad-check": (_cmd_grad_check, "compare analytic gradients with central differences"),
+}
 
 
-def _add_train_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, help="sliding window size in characters (default: 300)")
-    parser.add_argument("--stride", type=int, help="window stride in characters (default: window/2)")
-    parser.add_argument("--epochs", type=int, help="training epochs (default: 60; cost-report: 1)")
-    parser.add_argument("--batch-size", dest="batch_size", type=int, help="segments per step (default: 10)")
-    parser.add_argument("--lr", type=float, help="peak learning rate (default: 1e-4)")
-    parser.add_argument("--warmup-fraction", dest="warmup_fraction", type=float,
-                        help="fraction of steps spent ramping up (default: 0.1)")
-    parser.add_argument("--null-weight", dest="null_weight", type=float,
-                        help="multiplicative weight on no-relation pairs (default: 1.0)")
-    parser.add_argument("--frame-augmentation", dest="frame_augmentation", action="store_const", const=True,
-                        help="train with complete per-frame SAME_FRAME graphs as an extra class")
-    parser.add_argument("--d-model", dest="d_model", type=int, help="encoder width (default: 64)")
-    parser.add_argument("--encoder-layers", dest="encoder_layers", type=int, help="encoder depth (default: 2)")
-    parser.add_argument("--encoder-heads", dest="encoder_heads", type=int, help="encoder heads (default: 4)")
-    parser.add_argument("--label-emb-dim", dest="label_emb_dim", type=int, help="label embedding size (default: 32)")
-    parser.add_argument("--fusion-heads", dest="fusion_heads", type=int, help="fusion attention heads (default: 4)")
-    parser.add_argument("--relpos-emb-dim", dest="relpos_emb_dim", type=int,
-                        help="relative position embedding size (default: 75)")
-    parser.add_argument("--hidden-dim", dest="hidden_dim", type=int, help="pair head hidden size (default: 256)")
-    parser.add_argument("--max-rel-dist", dest="max_rel_dist", type=int,
-                        help="relative distance clip radius (default: 128)")
-    parser.add_argument("--dropout", type=float, help="dropout probability (default: 0.1)")
+@dataclass(frozen=True)
+class Option:
+    """One option: flag --<name>, environment MEDREX_<NAME>, config-file key <name>.
+
+    A name has two rows only where its meaning or default differs between
+    subcommands (``mode``, ``epochs``, ``d_model``).
+    """
+
+    name: str
+    kind: type
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    shown: str | None = None  # how --help and docs/config.md state a None default
+    choices: tuple[str, ...] = ()
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def shown_default(self) -> str:
+        if self.default is None:
+            return self.shown or "—"
+        return str(self.default).lower() if self.kind is bool else str(self.default)
+
+    def help_text(self) -> str:
+        parts = [self.help]
+        if self.choices:
+            parts.append("one of " + ", ".join(self.choices))
+        if self.default is not None or self.shown:
+            parts.append(f"default: {self.shown_default()}")
+        return "; ".join(parts)
+
+
+ALL = tuple(SUBCOMMANDS)
+FIT = ("train", "cost-report")
+MODEL_OPTION_HELP = {
+    "d_model": "encoder width",
+    "encoder_layers": "encoder depth",
+    "encoder_heads": "encoder heads",
+    "label_emb_dim": "label embedding size",
+    "fusion_heads": "fusion attention heads",
+    "relpos_emb_dim": "relative position embedding size",
+    "hidden_dim": "pair head hidden size",
+    "max_rel_dist": "relative distance clip radius",
+    "dropout": "dropout probability",
+}
+
+OPTIONS = (
+    Option("workdir", str, ".", "base directory for relative paths", ALL),
+    Option("seed", int, 0, "run seed", ALL),
+    Option("schema", str, "corp-hus", "schema profile name or file",
+           ("generate", "stats", "convert-frames", "train", "evaluate", "cost-report")),
+    Option("data", str, None, "input corpus directory (.txt/.ann pairs)",
+           ("stats", "convert-frames", "train", "predict", "end-to-end", "cost-report")),
+    Option("out", str, None, "output directory",
+           ("generate", "convert-frames", "train", "predict", "evaluate", "end-to-end", "cost-report")),
+    Option("ckpt", str, None, "checkpoint file from train", ("predict", "end-to-end")),
+    Option("gold", str, None, "gold corpus directory", ("evaluate", "end-to-end")),
+    Option("pred", str, None, "predicted corpus directory", ("evaluate",)),
+    Option("docs", int, 50, "number of documents", ("generate",)),
+    Option("multi_frame_rate", float, 0.04, "fraction of drugs with two regimen frames", ("generate",)),
+    Option("context_relation_rate", float, 0.5, "fraction of date links with contextual types", ("generate",)),
+    Option("filler_rate", float, 0.25, "fraction of entity-free sentences", ("generate",)),
+    Option("sentences_min", int, 3, "min sentences per doc", ("generate",)),
+    Option("sentences_max", int, 8, "max sentences per doc", ("generate",)),
+    Option("lax", bool, False, "tolerate unknown types in input", ("stats",)),
+    Option("mode", str, "add-same-frame", "write a SAME_FRAME-augmented corpus or a frame report", ("convert-frames",),
+           choices=("add-same-frame", "report")),
+    Option("mode", str, "both", "matching mode", ("evaluate",), choices=("strict", "lenient", "both")),
+    Option("label_source", str, "gold", "entity labels: gold (strict parse) or provided (lax entity files)",
+           ("predict",), choices=("gold", "provided")),
+    Option("window", int, 300, "sliding window size in characters", FIT),
+    Option("stride", int, None, "window stride in characters", FIT, shown="window/2"),
+    Option("epochs", int, 60, "training epochs", ("train",)),
+    Option("epochs", int, 1, "training epochs of each model", ("cost-report",)),
+    Option("batch_size", int, 10, "segments per step", FIT),
+    Option("lr", float, 1e-4, "peak learning rate", FIT),
+    Option("warmup_fraction", float, 0.1, "fraction of steps spent ramping up", FIT),
+    Option("null_weight", float, 1.0, "multiplicative weight on no-relation pairs", FIT),
+    Option("frame_augmentation", bool, False,
+           "train with complete per-frame SAME_FRAME graphs as an extra class", FIT),
+    *(Option(name, type(getattr(ModelConfig, name)), None, help, FIT, shown=str(getattr(ModelConfig, name)))
+      for name, help in MODEL_OPTION_HELP.items()),
+    Option("preset", str, "full", "gradient-check fixture size", ("grad-check",),
+           choices=tuple(GRAD_CHECK_PRESETS)),
+    Option("d_model", int, None, "fixture encoder width", ("grad-check",), shown="from preset"),
+    Option("seq", int, None, "fixture sequence length", ("grad-check",), shown="from preset"),
+    Option("entities", int, None, "fixture entity count", ("grad-check",), shown="from preset"),
+    Option("samples", int, None, "sampled coordinates per parameter", ("grad-check",), shown="from preset"),
+    Option("tol", float, 1e-4, "pass threshold on max relative error", ("grad-check",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -641,100 +558,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"medrex {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic gold-annotated corpus",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--out", help="output corpus directory")
-    p.add_argument("--docs", type=int, help="number of documents (default: 50)")
-    p.add_argument("--schema", help="schema profile name or file (default: corp-hus)")
-    p.add_argument("--multi-frame-rate", dest="multi_frame_rate", type=float,
-                   help="fraction of drugs with two regimen frames (default: 0.04)")
-    p.add_argument("--context-relation-rate", dest="context_relation_rate", type=float,
-                   help="fraction of date links with contextual types (default: 0.5)")
-    p.add_argument("--filler-rate", dest="filler_rate", type=float,
-                   help="fraction of entity-free sentences (default: 0.25)")
-    p.add_argument("--sentences-min", dest="sentences_min", type=int, help="min sentences per doc (default: 3)")
-    p.add_argument("--sentences-max", dest="sentences_max", type=int, help="max sentences per doc (default: 8)")
-    p.add_argument("--threads", type=int, help="parallel document generation (default: 1)")
-    p.set_defaults(handler=_cmd_generate)
-
-    p = sub.add_parser("stats", help="corpus tallies as JSON",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--data", help="corpus directory (.txt/.ann pairs)")
-    p.add_argument("--schema", help="schema profile name or file (default: corp-hus)")
-    p.add_argument("--lax", action="store_const", const=True, help="tolerate unknown types in input")
-    p.set_defaults(handler=_cmd_stats)
-
-    p = sub.add_parser("convert-frames", help="add SAME_FRAME edges or emit a frame report",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--data", help="input corpus directory")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--schema", help="schema profile name or file (default: corp-hus)")
-    p.add_argument("--mode", help="add-same-frame (default) or report")
-    p.set_defaults(handler=_cmd_convert_frames)
-
-    p = sub.add_parser("train", help="train the pairwise model",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--data", help="training corpus directory")
-    p.add_argument("--out", help="output directory (checkpoint, run log, window report)")
-    p.add_argument("--schema", help="schema profile name or file (default: corp-hus)")
-    _add_train_options(p)
-    p.set_defaults(handler=_cmd_train)
-
-    p = sub.add_parser("predict", help="predict relations with a trained checkpoint",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--ckpt", help="checkpoint file from train")
-    p.add_argument("--data", help="corpus directory with entities (.txt/.ann)")
-    p.add_argument("--out", help="output directory for .ann predictions and relations.jsonl")
-    p.add_argument("--label-source", dest="label_source",
-                   help="gold (strict parse) or provided (lax entity files); default gold")
-    p.set_defaults(handler=_cmd_predict)
-
-    p = sub.add_parser("evaluate", help="score predicted .ann files against gold",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--gold", help="gold corpus directory")
-    p.add_argument("--pred", help="predicted corpus directory")
-    p.add_argument("--schema", help="schema profile name or file (default: corp-hus)")
-    p.add_argument("--mode", help="strict, lenient or both (default: both)")
-    p.add_argument("--out", help="optional output directory for eval JSON")
-    p.add_argument("--threads", type=int, help="parallel evaluation (default: 1)")
-    p.set_defaults(handler=_cmd_evaluate)
-
-    p = sub.add_parser("end-to-end", help="predict from provided entity files and score",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--ckpt", help="checkpoint file from train")
-    p.add_argument("--data", help="directory with .txt plus upstream-tagger .ann entity files")
-    p.add_argument("--gold", help="gold corpus directory for scoring")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(handler=_cmd_end_to_end)
-
-    p = sub.add_parser("cost-report", help="pairwise vs per-pair baseline training cost",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--out", help="optional output directory")
-    p.add_argument("--schema", help="schema profile name or file (default: corp-hus)")
-    _add_train_options(p)
-    p.set_defaults(handler=_cmd_cost_report)
-
-    p = sub.add_parser("grad-check", help="compare analytic gradients with central differences",
-                       epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--preset", help="small or full (default: full)")
-    p.add_argument("--d-model", dest="d_model", type=int, help="encoder width override")
-    p.add_argument("--seq", type=int, help="fixture sequence length override")
-    p.add_argument("--entities", type=int, help="fixture entity count override")
-    p.add_argument("--samples", type=int, help="sampled coordinates per parameter override")
-    p.add_argument("--tol", type=float, help="pass threshold on max relative error (default: 1e-4)")
-    p.set_defaults(handler=_cmd_grad_check)
-
+    for command, (handler, summary) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary, epilog=EXIT_CODE_HELP,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for opt in OPTIONS:
+            if command not in opt.commands:
+                continue
+            if opt.kind is bool:
+                p.add_argument(opt.flag, dest=opt.name, action="store_const", const=True, help=opt.help_text())
+            else:
+                p.add_argument(opt.flag, dest=opt.name, type=opt.kind, help=opt.help_text())
+        p.set_defaults(handler=handler)
     return parser
 
 

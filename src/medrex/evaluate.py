@@ -12,7 +12,6 @@ and flagged.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -98,8 +97,6 @@ class EvalReport:
     mode: str
     rows: list[EvalRow] = field(default_factory=list)
     micro: EvalRow = field(default_factory=lambda: EvalRow("micro"))
-    train_seconds: float | None = None
-    encoder_forwards: int | None = None
 
     def row_for(self, rtype: str) -> EvalRow | None:
         for row in self.rows:
@@ -108,19 +105,11 @@ class EvalReport:
         return None
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "mode": self.mode,
             "micro": self.micro.to_dict(),
             "per_type": [row.to_dict() for row in self.rows],
         }
-        if self.train_seconds is not None:
-            payload["train_seconds"] = self.train_seconds
-        if self.encoder_forwards is not None:
-            payload["encoder_forwards"] = self.encoder_forwards
-        return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
 def format_report(report: EvalReport) -> str:
@@ -196,31 +185,6 @@ def evaluate(
         r.undefined_precision = (r.tp + r.fp) == 0
     micro.undefined_precision = (micro.tp + micro.fp) == 0
     return EvalReport(mode=mode, rows=rows, micro=micro)
-
-
-def merge_reports(reports: list[EvalReport]) -> EvalReport:
-    """Sum confusion counts of reports over disjoint document sets (same mode)."""
-    if not reports:
-        raise EvaluationError("nothing to merge")
-    modes = {r.mode for r in reports}
-    if len(modes) != 1:
-        raise EvaluationError(f"cannot merge reports across modes {sorted(modes)}")
-    tallies: dict[str, EvalRow] = {}
-    for report in reports:
-        for row in report.rows:
-            merged = tallies.setdefault(row.rtype, EvalRow(row.rtype))
-            merged.tp += row.tp
-            merged.fp += row.fp
-            merged.fn += row.fn
-    rows = [tallies[rtype] for rtype in sorted(tallies)]
-    micro = EvalRow("micro")
-    for row in rows:
-        micro.tp += row.tp
-        micro.fp += row.fp
-        micro.fn += row.fn
-        row.undefined_precision = (row.tp + row.fp) == 0
-    micro.undefined_precision = (micro.tp + micro.fp) == 0
-    return EvalReport(mode=modes.pop(), rows=rows, micro=micro)
 
 
 def predictions_to_relations(predictions: list[PredictedRelation]) -> list[Relation]:

@@ -36,9 +36,6 @@ class FrameSet:
     doc_id: str
     frames: tuple[Frame, ...]
 
-    def for_drug(self, drug_id: str) -> list[Frame]:
-        return [f for f in self.frames if f.drug == drug_id]
-
     def multi_frame_drugs(self) -> set[str]:
         counts: dict[str, int] = defaultdict(int)
         for f in self.frames:

@@ -391,3 +391,38 @@ def predict_relations(
     ]
     predictions.sort(key=lambda p: (p.source.start, p.source.end, p.target.start, p.target.end, p.rtype))
     return predictions
+
+
+def grad_check_fixture(d_model: int, seq: int, n_entities: int, seed: int) -> tuple[PairwiseREModel, EncodedSegment]:
+    """Deterministic synthetic segment plus a model sized for it, for gradient checks."""
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(
+        vocab_size=50,
+        num_entity_types=10,
+        num_classes=8,
+        d_model=d_model,
+        encoder_heads=4 if d_model % 4 == 0 else 2,
+        label_emb_dim=32,
+        fusion_heads=4,
+        max_positions=seq + 8,
+        dropout=0.0,
+        seed=seed,
+    )
+    model = PairwiseREModel(config)
+    token_ids = tuple(int(x) for x in rng.integers(5, config.vocab_size, size=seq))
+    heads = sorted(int(i) for i in rng.choice(seq, size=n_entities, replace=False))
+    label_ids = [0] * seq
+    for k, pos in enumerate(heads):
+        label_ids[pos] = (k % config.num_entity_types) + 1
+    targets = []
+    for a in range(n_entities):
+        for b in range(n_entities):
+            if a != b:
+                cls = int(rng.integers(0, config.num_classes)) if rng.random() < 0.5 else 0
+                targets.append(PairTarget(heads[a], heads[b], cls))
+    segment = EncodedSegment(
+        doc_id="grad-check", window_start=0, window_end=seq,
+        token_ids=token_ids, label_ids=tuple(label_ids), entities=(),
+        entity_spans=tuple((h, h) for h in heads), targets=tuple(targets),
+    )
+    return model, segment

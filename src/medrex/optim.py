@@ -42,14 +42,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self.params)
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def values_snapshot(self) -> dict[str, np.ndarray]:
-        """Read-only copy of parameter values (safe to share across threads)."""
-        return {name: p.values.copy() for name, p in self.params.items()}
-
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in values.items():
             p = self.params[name]

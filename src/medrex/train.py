@@ -85,7 +85,10 @@ class TrainResult:
     window_report: WindowReport
     run_log: list[dict] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
-    total_seconds: float = 0.0
+
+    @property
+    def total_seconds(self) -> float:
+        return sum(self.epoch_seconds)
 
     def losses(self) -> list[float]:
         return [record["loss"] for record in self.run_log]
@@ -142,17 +145,12 @@ def _mean_loss(losses: list[ag.Tensor]) -> ag.Tensor:
     return ag.scale(total, 1.0 / len(losses))
 
 
-def train(
-    corpus: list[Document],
-    schema: SchemaProfile,
-    config: TrainConfig,
-    model_overrides: dict | None = None,
-) -> TrainResult:
-    """Train the pairwise model; returns the model plus everything inference needs."""
-    encoded, vocab, class_map, report = _prepare_segments(corpus, schema, config)
-    model_config = _model_config(vocab, class_map, schema, config, encoded, model_overrides)
-    model = PairwiseREModel(model_config)
+def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_loss) -> tuple[list[dict], list[float]]:
+    """The training loop: seeded epoch shuffles, batches, warmup/decay Adam steps.
 
+    ``batch_loss`` maps a batch of segments to its scalar loss; the models
+    differ only there. Returns the per-step run log and the epoch seconds.
+    """
     steps_per_epoch = math.ceil(len(encoded) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     schedule = LrSchedule(
@@ -163,19 +161,13 @@ def train(
     shuffler = random.Random(config.seed)
     run_log: list[dict] = []
     epoch_seconds: list[float] = []
-    started = time.perf_counter()
     step = 0
     for _ in range(config.epochs):
         epoch_start = time.perf_counter()
         order = list(range(len(encoded)))
         shuffler.shuffle(order)
         for batch_start in range(0, len(order), config.batch_size):
-            batch = [encoded[i] for i in order[batch_start:batch_start + config.batch_size]]
-            losses = [
-                masked_loss(model.forward(seg, train=True), seg.targets, config.null_class_weight)
-                for seg in batch
-            ]
-            loss = _mean_loss(losses)
+            loss = batch_loss([encoded[i] for i in order[batch_start:batch_start + config.batch_size]])
             ag.backward(loss)
             lr = lr_at(schedule, step)
             adam_step(model.params, lr)
@@ -187,6 +179,40 @@ def train(
             })
             step += 1
         epoch_seconds.append(time.perf_counter() - epoch_start)
+    return run_log, epoch_seconds
+
+
+def _pairwise_loss(model: PairwiseREModel, config: TrainConfig):
+    return lambda batch: _mean_loss([
+        masked_loss(model.forward(seg, train=True), seg.targets, config.null_class_weight)
+        for seg in batch
+    ])
+
+
+def _baseline_loss(model: BaselinePairModel):
+    def batch_loss(batch: list[EncodedSegment]) -> ag.Tensor:
+        pair_losses: list[ag.Tensor] = []
+        for seg in batch:
+            for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities))):
+                logits = model.forward_pair(seg, a, b, train=True)
+                target = np.asarray([seg.targets[row].class_id], dtype=np.intp)
+                pair_losses.append(ag.reduce_mean(ag.cross_entropy(logits, target)))
+        return _mean_loss(pair_losses)
+
+    return batch_loss
+
+
+def train(
+    corpus: list[Document],
+    schema: SchemaProfile,
+    config: TrainConfig,
+    model_overrides: dict | None = None,
+) -> TrainResult:
+    """Train the pairwise model; returns the model plus everything inference needs."""
+    encoded, vocab, class_map, report = _prepare_segments(corpus, schema, config)
+    model_config = _model_config(vocab, class_map, schema, config, encoded, model_overrides)
+    model = PairwiseREModel(model_config)
+    run_log, epoch_seconds = _fit(model, encoded, config, _pairwise_loss(model, config))
     return TrainResult(
         model=model,
         vocab=vocab,
@@ -196,7 +222,6 @@ def train(
         window_report=report,
         run_log=run_log,
         epoch_seconds=epoch_seconds,
-        total_seconds=time.perf_counter() - started,
     )
 
 
@@ -299,36 +324,6 @@ class CostReport:
         }
 
 
-def _train_baseline(
-    model: BaselinePairModel,
-    encoded: list[EncodedSegment],
-    config: TrainConfig,
-) -> None:
-    steps_per_epoch = math.ceil(len(encoded) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    schedule = LrSchedule(
-        peak_lr=config.peak_lr,
-        warmup_steps=int(round(config.warmup_fraction * total_steps)),
-        total_steps=total_steps,
-    )
-    shuffler = random.Random(config.seed)
-    step = 0
-    for _ in range(config.epochs):
-        order = list(range(len(encoded)))
-        shuffler.shuffle(order)
-        for batch_start in range(0, len(order), config.batch_size):
-            batch = [encoded[i] for i in order[batch_start:batch_start + config.batch_size]]
-            pair_losses: list[ag.Tensor] = []
-            for seg in batch:
-                for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities))):
-                    logits = model.forward_pair(seg, a, b, train=True)
-                    target = np.asarray([seg.targets[row].class_id], dtype=np.intp)
-                    pair_losses.append(ag.reduce_mean(ag.cross_entropy(logits, target)))
-            ag.backward(_mean_loss(pair_losses))
-            adam_step(model.params, lr_at(schedule, step))
-            step += 1
-
-
 def cost_report(
     corpus: list[Document],
     schema: SchemaProfile,
@@ -348,34 +343,9 @@ def cost_report(
     pair_sum = sum(len(seg.entities) * (len(seg.entities) - 1) for seg in encoded)
 
     pairwise = PairwiseREModel(model_config)
-    started = time.perf_counter()
-    steps_per_epoch = math.ceil(len(encoded) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    schedule = LrSchedule(
-        peak_lr=config.peak_lr,
-        warmup_steps=int(round(config.warmup_fraction * total_steps)),
-        total_steps=total_steps,
-    )
-    shuffler = random.Random(config.seed)
-    step = 0
-    for _ in range(config.epochs):
-        order = list(range(len(encoded)))
-        shuffler.shuffle(order)
-        for batch_start in range(0, len(order), config.batch_size):
-            batch = [encoded[i] for i in order[batch_start:batch_start + config.batch_size]]
-            losses = [
-                masked_loss(pairwise.forward(seg, train=True), seg.targets, config.null_class_weight)
-                for seg in batch
-            ]
-            ag.backward(_mean_loss(losses))
-            adam_step(pairwise.params, lr_at(schedule, step))
-            step += 1
-    pairwise_seconds = time.perf_counter() - started
-
+    _, pairwise_epoch_seconds = _fit(pairwise, encoded, config, _pairwise_loss(pairwise, config))
     baseline = BaselinePairModel(model_config)
-    started = time.perf_counter()
-    _train_baseline(baseline, encoded, config)
-    baseline_seconds = time.perf_counter() - started
+    _, baseline_epoch_seconds = _fit(baseline, encoded, config, _baseline_loss(baseline))
 
     return CostReport(
         segments=len(encoded),
@@ -384,8 +354,8 @@ def cost_report(
         baseline_forwards=baseline.encoder_forwards,
         pairwise_forwards_analytic=len(encoded) * config.epochs,
         baseline_forwards_analytic=pair_sum * config.epochs,
-        pairwise_seconds=pairwise_seconds,
-        baseline_seconds=baseline_seconds,
+        pairwise_seconds=sum(pairwise_epoch_seconds),
+        baseline_seconds=sum(baseline_epoch_seconds),
     )
 
 

@@ -286,15 +286,6 @@ class EncodedSegment:
     entity_spans: tuple[tuple[int, int], ...]  # (first, last) token index per entity
     targets: tuple[PairTarget, ...]
 
-    @property
-    def head_indices(self) -> tuple[int, ...]:
-        return tuple(first for first, _ in self.entity_spans)
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        heads = self.head_indices
-        return [(heads[a], heads[b]) for a, b in ordered_entity_pairs(len(heads))]
-
 
 def encode_segment(
     segment: Segment,

@@ -13,10 +13,9 @@ import time
 
 import pytest
 
-from medrex.cli import _grad_check_fixture
 from medrex.evaluate import evaluate, frame_exact_match
 from medrex.frames import build_frames, decode_frames, frames_to_relations
-from medrex.model import masked_loss
+from medrex.model import grad_check_fixture, masked_loss
 from medrex.optim import finite_diff_check
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import serialize_standoff
@@ -53,7 +52,7 @@ def overfit_run():
 
 
 def test_a1_gradient_integrity():
-    model, segment = _grad_check_fixture(d_model=64, seq=24, n_entities=4, seed=0)
+    model, segment = grad_check_fixture(d_model=64, seq=24, n_entities=4, seed=0)
     started = time.perf_counter()
     result = finite_diff_check(
         lambda: masked_loss(model.forward(segment), segment.targets),

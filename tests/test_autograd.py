@@ -134,12 +134,6 @@ def test_softmax_gradcheck():
     _check_op(lambda: ag.reduce_sum(ag.mul(ag.row_softmax(x), w)), {"x": x})
 
 
-def test_relu_gradcheck():
-    rng = np.random.default_rng(8)
-    x = ag.Tensor(rng.standard_normal((4, 5)) + 0.5, requires_grad=True)
-    _check_op(lambda: ag.reduce_sum(ag.mul(ag.relu(x), ag.relu(x))), {"x": x})
-
-
 def test_gelu_gradcheck():
     rng = np.random.default_rng(9)
     x = _param(rng, (4, 5))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from medrex.cli import build_parser, main
+from medrex.cli import ALL, OPTIONS, build_parser, main
 
 TINY_MODEL_FLAGS = [
     "--d-model", "16", "--encoder-layers", "1", "--encoder-heads", "2",
@@ -188,45 +188,21 @@ def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     assert json.loads((out3 / "run_manifest.json").read_text())["config"]["docs"] == 2
 
 
+def test_option_values_outside_choices_exit_6(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MEDREX_MODE", "fuzzy")
+    assert run_cli(["evaluate", "--gold", tmp_path, "--pred", tmp_path]) == 6
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_workdir_resolves_relative_paths(tmp_path):
     assert run_cli(["generate", "--workdir", tmp_path, "--seed", 0, "--docs", 2,
                     "--out", "rel-corpus"]) == 0
     assert (tmp_path / "rel-corpus" / "manifest.json").exists()
 
 
-def test_threads_flag_only_on_generate_and_evaluate():
-    parser = build_parser()
-    sub_actions = next(
-        a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
-    )
-    for name, sub in sub_actions.choices.items():
-        flags = {s for a in sub._actions for s in a.option_strings}
-        if name in ("generate", "evaluate"):
-            assert "--threads" in flags, name
-        else:
-            assert "--threads" not in flags, name
-
-
-def test_threaded_evaluate_matches_serial(workspace, tmp_path):
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-    assert run_cli(["evaluate", "--gold", workspace / "data", "--pred", workspace / "data",
-                    "--mode", "both", "--out", serial]) == 0
-    assert run_cli(["evaluate", "--gold", workspace / "data", "--pred", workspace / "data",
-                    "--mode", "both", "--out", threaded, "--threads", 4]) == 0
-    for name in ("eval_strict.json", "eval_lenient.json"):
-        assert (serial / name).read_text() == (threaded / name).read_text()
-
-
 def test_grad_check_config_accepts_preset_name(capsys):
     assert run_cli(["grad-check", "--config", "small", "--samples", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
-
-
-def test_threaded_generate_matches_serial(tmp_path):
-    a, b = tmp_path / "serial", tmp_path / "threaded"
-    assert run_cli(["generate", "--seed", 5, "--docs", 6, "--out", a]) == 0
-    assert run_cli(["generate", "--seed", 5, "--docs", 6, "--out", b, "--threads", 3]) == 0
-    assert _hash_dir(a, skip=("run_manifest.json",)) == _hash_dir(b, skip=("run_manifest.json",))
 
 
 def test_help_documents_every_flag():
@@ -243,3 +219,45 @@ def test_help_documents_every_flag():
             assert action.help is not None or action.option_strings == ["-h", "--help"], (
                 f"{name}: {action.option_strings or action.dest} lacks help text"
             )
+
+
+@pytest.mark.parametrize("subcommand", ["generate", "evaluate"])
+def test_threads_flag_is_rejected(subcommand, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([subcommand, "--out", tmp_path / "out", "--threads", 2])
+    assert excinfo.value.code == 2
+
+
+def test_option_table_has_one_row_per_key_and_subcommand():
+    pairs = [(opt.name, command) for opt in OPTIONS for command in opt.commands]
+    assert len(pairs) == len(set(pairs))
+    assert {command for _, command in pairs} <= set(ALL)
+
+
+def test_config_doc_matches_option_table():
+    doc = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config.md")
+    with open(doc, encoding="utf-8") as fh:
+        rows = [
+            tuple(cell.strip().replace("`", "") for cell in line.strip().strip("|").split("|"))
+            for line in fh if line.startswith("| `")
+        ]
+    expected = [
+        (opt.name, opt.kind.__name__, opt.shown_default(),
+         "all" if opt.commands == ALL else ", ".join(opt.commands))
+        for opt in OPTIONS
+    ]
+    assert len(rows) == len(set(rows)), "a row is documented twice"
+    assert sorted(set(expected) - set(rows)) == [], "undocumented options"
+    assert sorted(set(rows) - set(expected)) == [], "documented options the table lacks"
+
+
+def test_predict_provided_and_end_to_end_write_identical_files(workspace, tmp_path):
+    ckpt, data = workspace / "ckpt" / "model.ckpt", workspace / "data"
+    predicted, e2e = tmp_path / "predict", tmp_path / "e2e"
+    assert run_cli(["predict", "--ckpt", ckpt, "--data", data, "--out", predicted,
+                    "--label-source", "provided"]) == 0
+    assert run_cli(["end-to-end", "--ckpt", ckpt, "--data", data, "--gold", data, "--out", e2e]) == 0
+    written = sorted(f for f in os.listdir(predicted) if f.endswith((".txt", ".ann")))
+    assert len(written) == 12 and (predicted / "relations.jsonl").read_text(encoding="utf-8")
+    for name in written + ["relations.jsonl"]:
+        assert (predicted / name).read_bytes() == (e2e / name).read_bytes(), name

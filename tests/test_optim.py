@@ -131,7 +131,7 @@ def test_param_store_snapshot_roundtrip():
     store = ParamStore()
     store.add("a", np.arange(4.0))
     store.add("b", np.ones((2, 2)))
-    snap = store.values_snapshot()
+    snap = {name: p.values.copy() for name, p in store.items()}
     store["a"].values += 5
     store.load_values(snap)
     np.testing.assert_array_equal(store["a"].values, np.arange(4.0))
