@@ -67,31 +67,12 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         return float(self.values)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Tensor{tag} shape={self.values.shape}>"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
 
 
 def as_tensor(x) -> Tensor:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import __version__
 from .checkpoint import CheckpointError
 from .evaluate import EvalReport, evaluate, format_report, predictions_to_relations
-from .frames import augment_document, build_frames, frames_to_jsonl
+from .frames import augment_document, build_frames, decode_frames, frames_to_jsonl
 from .model import ModelConfig, ModelError, PredictedRelation, grad_check_fixture, masked_loss
 from .optim import finite_diff_check
 from .schema import SchemaError, UnknownProfileError, resolve_profile
@@ -34,7 +34,6 @@ from .train import (
     TrainConfig,
     TrainingError,
     cost_report,
-    end_to_end,
     load_bundle,
     save_bundle,
     train,
@@ -372,13 +371,16 @@ def _cmd_end_to_end(args) -> int:
     if missing:
         raise FileNotFoundError(f"missing entity files for documents: {', '.join(missing)}")
     entities_map = {doc_id: list(d.entities) for doc_id, d in entity_docs.items() if d is not None}
-    predictions, frame_sets, reports = end_to_end(gold_docs, entities_map, bundle)
+    predictions = bundle.predict_corpus(gold_docs, entities_map)
     outputs = _write_prediction_dir(out, gold_docs, entities_map, predictions)
     frame_lines = []
-    for doc_id in sorted(frame_sets):
-        frame_lines.extend(frames_to_jsonl(entity_docs[doc_id], frame_sets[doc_id]))
+    for doc_id in sorted(d.doc_id for d in gold_docs):
+        relations = predictions_to_relations(predictions[doc_id])
+        frames = decode_frames(entities_map[doc_id], relations, bundle.schema, doc_id=doc_id)
+        frame_lines.extend(frames_to_jsonl(entity_docs[doc_id], frames))
     frames_path = os.path.join(out, "frames.jsonl")
     _write_lines(frames_path, frame_lines)
+    reports = {mode: evaluate(gold_docs, predictions, mode, bundle.schema) for mode in ("strict", "lenient")}
     outputs += [frames_path, *_emit_reports(out, reports)]
     _write_manifest(out, options, [data, gold_dir, ckpt], outputs)
     return EXIT_OK
@@ -409,16 +411,12 @@ GRAD_CHECK_PRESETS = {
 
 
 def _cmd_grad_check(args) -> int:
-    # --config accepts a preset name as shorthand (grad-check --config small)
-    if getattr(args, "config", None) in GRAD_CHECK_PRESETS:
-        args.preset = args.config
-        args.config = None
     options = Options(args)
     preset = options.get("preset")
-    sizes = {
-        name: default if (value := options.get(name)) is None else value
-        for name, default in GRAD_CHECK_PRESETS[preset].items()
-    }
+    sizes = GRAD_CHECK_PRESETS[preset]
+    samples = options.get("samples")
+    if samples is None:
+        samples = sizes["samples"]
     tol = options.get("tol")
     seed = options.get("seed")
     model, segment = grad_check_fixture(sizes["d_model"], sizes["seq"], sizes["entities"], seed)
@@ -426,7 +424,7 @@ def _cmd_grad_check(args) -> int:
     result = finite_diff_check(
         lambda: masked_loss(model.forward(segment), segment.targets),
         model.params,
-        samples_per_param=sizes["samples"],
+        samples_per_param=samples,
         seed=seed,
     )
     elapsed = time.perf_counter() - started
@@ -460,7 +458,7 @@ class Option:
     """One option: flag --<name>, environment MEDREX_<NAME>, config-file key <name>.
 
     A name has two rows only where its meaning or default differs between
-    subcommands (``mode``, ``epochs``, ``d_model``).
+    subcommands (``mode``, ``epochs``).
     """
 
     name: str
@@ -504,8 +502,8 @@ MODEL_OPTION_HELP = {
 }
 
 OPTIONS = (
-    Option("workdir", str, ".", "base directory for relative paths", ALL),
-    Option("seed", int, 0, "run seed", ALL),
+    Option("workdir", str, ".", "base directory for relative paths", tuple(c for c in ALL if c != "grad-check")),
+    Option("seed", int, 0, "run seed", ("generate", "train", "cost-report", "grad-check")),
     Option("schema", str, "corp-hus", "schema profile name or file",
            ("generate", "stats", "convert-frames", "train", "evaluate", "cost-report")),
     Option("data", str, None, "input corpus directory (.txt/.ann pairs)",
@@ -541,9 +539,6 @@ OPTIONS = (
       for name, help in MODEL_OPTION_HELP.items()),
     Option("preset", str, "full", "gradient-check fixture size", ("grad-check",),
            choices=tuple(GRAD_CHECK_PRESETS)),
-    Option("d_model", int, None, "fixture encoder width", ("grad-check",), shown="from preset"),
-    Option("seq", int, None, "fixture sequence length", ("grad-check",), shown="from preset"),
-    Option("entities", int, None, "fixture entity count", ("grad-check",), shown="from preset"),
     Option("samples", int, None, "sampled coordinates per parameter", ("grad-check",), shown="from preset"),
     Option("tol", float, 1e-4, "pass threshold on max relative error", ("grad-check",)),
 )

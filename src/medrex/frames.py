@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .schema import SAME_FRAME, SchemaProfile
-from .standoff import Document, Entity, Relation, Violation
+from .standoff import Document, Entity, Relation
 
 
 @dataclass(frozen=True)
@@ -139,26 +140,13 @@ def build_frames(doc: Document, schema: SchemaProfile) -> FrameSet:
     return _frames_from(doc.doc_id, doc.entities, doc.relations, schema)
 
 
-def frame_violations(doc: Document, schema: SchemaProfile) -> list[Violation]:
-    """Report SAME_FRAME edges whose endpoints are not attributes of one common drug."""
-    by_id = doc.entity_index()
-    drugs_of: dict[str, set[str]] = defaultdict(set)  # attr id -> drug ids it is linked to
-    for r in doc.relations:
-        if r.rtype == SAME_FRAME:
-            continue
-        src, tgt = by_id.get(r.source), by_id.get(r.target)
-        if src and tgt and tgt.etype in schema.drug_types and src.etype in schema.attribute_types:
-            drugs_of[src.id].add(tgt.id)
-    violations = []
-    for r in doc.relations:
-        if r.rtype != SAME_FRAME:
-            continue
-        if not (drugs_of.get(r.source, set()) & drugs_of.get(r.target, set())):
-            violations.append(Violation(
-                "cross-drug-same-frame", r.id,
-                f"{SAME_FRAME} edge {r.source}->{r.target} joins attributes with no drug in common; ignored",
-            ))
-    return violations
+def _same_frame_pairs(frames: Iterable[Frame]) -> Iterator[tuple[str, str]]:
+    """Each frame's complete graph: every (earlier, later) pair of its attributes."""
+    for frame in frames:
+        attrs = [a for a, _ in frame.links]
+        for i, a in enumerate(attrs):
+            for b in attrs[i + 1:]:
+                yield a, b
 
 
 def frames_to_relations(fs: FrameSet, include_same_frame: bool) -> list[Relation]:
@@ -166,8 +154,8 @@ def frames_to_relations(fs: FrameSet, include_same_frame: bool) -> list[Relation
 
     SAME_FRAME edges connect every unordered pair of attributes within a frame,
     directed from the earlier attribute to the later one. Shared attributes can
-    make the returned list contain repeated triples; callers assembling a
-    document deduplicate.
+    make the returned list contain repeated triples; ``with_same_frame``
+    deduplicates them when it builds a document.
     """
     relations: list[Relation] = []
     counter = 0
@@ -181,11 +169,8 @@ def frames_to_relations(fs: FrameSet, include_same_frame: bool) -> list[Relation
         for attr, rtype in frame.links:
             emit(rtype, attr, frame.drug)
     if include_same_frame:
-        for frame in fs.frames:
-            attrs = [a for a, _ in frame.links]
-            for i in range(len(attrs)):
-                for j in range(i + 1, len(attrs)):
-                    emit(SAME_FRAME, attrs[i], attrs[j])
+        for a, b in _same_frame_pairs(fs.frames):
+            emit(SAME_FRAME, a, b)
     return relations
 
 
@@ -203,28 +188,23 @@ def decode_frames(
     return _frames_from(doc_id, entities, predicted_relations, schema)
 
 
-def augment_document(doc: Document, schema: SchemaProfile) -> Document:
-    """Replace a document's SAME_FRAME edges with complete per-frame graphs.
+def with_same_frame(doc: Document, frames: Iterable[Frame]) -> Document:
+    """Replace a document's SAME_FRAME edges with one complete graph per given frame.
 
-    Typed relations are kept verbatim (including relations that take no part in
-    frames, such as drug-to-drug coreference); the synthesized SAME_FRAME
-    complete graphs are appended, deduplicated by (type, source, target).
+    The document's other relations are kept verbatim (including relations that
+    take no part in frames, such as drug-to-drug coreference). The edges are
+    appended after them, deduplicated across frames that share attributes and
+    numbered SF1, SF2, ... in frame order.
     """
-    fs = build_frames(doc, schema)
-    kept = [r for r in doc.relations if r.rtype != SAME_FRAME]
-    seen = {(r.rtype, r.source, r.target) for r in kept}
-    counter = 0
-    out = list(kept)
-    for r in frames_to_relations(fs, include_same_frame=True):
-        if r.rtype != SAME_FRAME:
-            continue
-        triple = (r.rtype, r.source, r.target)
-        if triple in seen:
-            continue
-        seen.add(triple)
-        counter += 1
-        out.append(Relation(f"SF{counter}", SAME_FRAME, r.source, r.target))
-    return Document(doc.doc_id, doc.text, doc.entities, tuple(out))
+    kept = tuple(r for r in doc.relations if r.rtype != SAME_FRAME)
+    pairs = dict.fromkeys(_same_frame_pairs(frames))  # ordered set
+    edges = tuple(Relation(f"SF{i}", SAME_FRAME, a, b) for i, (a, b) in enumerate(pairs, start=1))
+    return Document(doc.doc_id, doc.text, doc.entities, kept + edges)
+
+
+def augment_document(doc: Document, schema: SchemaProfile) -> Document:
+    """Replace a document's SAME_FRAME edges with complete graphs over all its frames."""
+    return with_same_frame(doc, build_frames(doc, schema).frames)
 
 
 def frames_to_jsonl(doc: Document, fs: FrameSet) -> list[str]:

@@ -122,14 +122,6 @@ N2C2 = SchemaProfile(
 BUILTIN_PROFILES: dict[str, SchemaProfile] = {p.name: p for p in (CORP_HUS, N2C2)}
 
 
-def get_profile(name: str) -> SchemaProfile:
-    try:
-        return BUILTIN_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_PROFILES))
-        raise UnknownProfileError(f"unknown schema profile {name!r} (built in: {known})") from None
-
-
 _PROFILE_KEYS = {"name", "entity_types", "relation_types", "attribute_types", "drug_types"}
 
 

@@ -47,12 +47,8 @@ def corpus_stats(corpus: list[Document], schema: SchemaProfile) -> CorpusStats:
         for r in doc.relations:
             relation_counts[r.rtype] += 1
         fs = build_frames(doc, schema)
-        per_drug: Counter[str] = Counter()
-        for frame in fs.frames:
-            if frame.links:
-                per_drug[frame.drug] += 1
-        framed_drugs += len(per_drug)
-        multi_frame_drugs += sum(1 for n in per_drug.values() if n >= 2)
+        framed_drugs += len({frame.drug for frame in fs.frames if frame.links})
+        multi_frame_drugs += len(fs.multi_frame_drugs())  # only an attribute-less drug has an empty frame
 
     return CorpusStats(
         doc_count=len(corpus),

@@ -17,8 +17,8 @@ import os
 import random
 from dataclasses import asdict, dataclass
 
-from .frames import Frame, FrameSet, frames_to_relations
-from .schema import SAME_FRAME, SchemaProfile, resolve_profile
+from .frames import Frame, FrameSet, with_same_frame
+from .schema import SchemaProfile, resolve_profile
 from .standoff import Document, Entity, Relation, write_corpus_dir
 
 DRUGS = (
@@ -80,17 +80,6 @@ class GenConfig:
     multi_frame_rate: float = 0.04
     context_relation_rate: float = 0.5
     filler_rate: float = 0.25
-    drugs: tuple[str, ...] = DRUGS
-    drug_classes: tuple[str, ...] = DRUG_CLASSES
-    routes: tuple[str, ...] = ROUTES
-    frequencies: tuple[str, ...] = FREQUENCIES
-    dates: tuple[str, ...] = DATES
-    relative_dates: tuple[str, ...] = RELATIVE_DATES
-    dosages: tuple[str, ...] = DOSAGES
-    durations: tuple[str, ...] = DURATIONS
-    forms: tuple[str, ...] = FORMS
-    reasons: tuple[str, ...] = REASONS
-    ades: tuple[str, ...] = ADES
 
     def __post_init__(self):
         for name in ("multi_frame_rate", "context_relation_rate", "filler_rate"):
@@ -101,9 +90,6 @@ class GenConfig:
             raise GenerationError("doc_count must be non-negative")
         if not 1 <= self.sentences_min <= self.sentences_max:
             raise GenerationError("need 1 <= sentences_min <= sentences_max")
-        for name in ("drugs", "routes", "frequencies", "dates", "dosages"):
-            if not getattr(self, name):
-                raise GenerationError(f"vocabulary table {name!r} may not be empty")
 
     def schema(self) -> SchemaProfile:
         return resolve_profile(self.schema_name)
@@ -148,19 +134,19 @@ def _regimen_sentence(rng: random.Random, cfg: GenConfig, drug_pool: tuple[str, 
     s.drug = s.ent(drug_type, rng.choice(drug_pool))
     if rng.random() < 0.6:
         s.lit(" ")
-        s.links.append((s.ent("Dosage", rng.choice(cfg.dosages)), "Refer_to"))
+        s.links.append((s.ent("Dosage", rng.choice(DOSAGES)), "Refer_to"))
     if rng.random() < 0.45:
         s.lit(" en ")
-        s.links.append((s.ent("Route", rng.choice(cfg.routes)), "Refer_to"))
+        s.links.append((s.ent("Route", rng.choice(ROUTES)), "Refer_to"))
     if rng.random() < 0.45:
         s.lit(" ")
-        s.links.append((s.ent("Frequency", rng.choice(cfg.frequencies)), "Refer_to"))
+        s.links.append((s.ent("Frequency", rng.choice(FREQUENCIES)), "Refer_to"))
     if rng.random() < cfg.context_relation_rate:
         cue, rtype = rng.choice(_DATE_CUES)
     else:
         cue, rtype = "prescrit le ", "Refer_to"
     s.lit(", " + cue)
-    s.links.append((s.ent("Date", rng.choice(cfg.dates)), rtype))
+    s.links.append((s.ent("Date", rng.choice(DATES)), rtype))
     if rng.random() < 0.85:
         s.lit(" " + rng.choice(PADS))
     if rng.random() < 0.5:
@@ -169,22 +155,22 @@ def _regimen_sentence(rng: random.Random, cfg: GenConfig, drug_pool: tuple[str, 
     return s
 
 
-def _multi_frame_sentence(rng: random.Random, cfg: GenConfig) -> _Sentence:
+def _multi_frame_sentence(rng: random.Random) -> _Sentence:
     s = _Sentence()
     s.lit("Traitement par ")
-    s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+    s.drug = s.ent("Drug", rng.choice(DRUGS))
     s.lit(" en ")
-    route = s.ent("Route", rng.choice(cfg.routes))
+    route = s.ent("Route", rng.choice(ROUTES))
     s.lit(" ")
-    freq1 = s.ent("Frequency", rng.choice(cfg.frequencies))
+    freq1 = s.ent("Frequency", rng.choice(FREQUENCIES))
     s.lit(" de ")
-    date1 = s.ent("Date", rng.choice(cfg.dates))
+    date1 = s.ent("Date", rng.choice(DATES))
     s.lit(" à ")
-    date2 = s.ent("Date", rng.choice(cfg.dates))
+    date2 = s.ent("Date", rng.choice(DATES))
     s.lit(", puis ")
-    freq2 = s.ent("Frequency", rng.choice(cfg.frequencies))
+    freq2 = s.ent("Frequency", rng.choice(FREQUENCIES))
     s.lit(" jusqu'à ")
-    date3 = s.ent("Date", rng.choice(cfg.dates))
+    date3 = s.ent("Date", rng.choice(DATES))
     s.lit(".")
     for attr in (route, freq1, date1, date2, freq2, date3):
         s.links.append((attr, "Refer_to"))
@@ -192,51 +178,51 @@ def _multi_frame_sentence(rng: random.Random, cfg: GenConfig) -> _Sentence:
     return s
 
 
-def _simple_special(rng: random.Random, cfg: GenConfig, kind: str) -> _Sentence:
+def _simple_special(rng: random.Random, kind: str) -> _Sentence:
     s = _Sentence()
     if kind == "increase" or kind == "decrease":
         s.lit("Majoration de " if kind == "increase" else "Diminution de ")
-        s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+        s.drug = s.ent("Drug", rng.choice(DRUGS))
         s.lit(" à ")
-        s.links.append((s.ent("Dosage", rng.choice(cfg.dosages)), "Increase" if kind == "increase" else "Decrease"))
+        s.links.append((s.ent("Dosage", rng.choice(DOSAGES)), "Increase" if kind == "increase" else "Decrease"))
         if rng.random() < 0.6:
             s.lit(" " + rng.choice(PADS))
         s.lit(".")
     elif kind == "negation":
         ctx = s.ent("Context", "Pas de")
         s.lit(" reprise de ")
-        s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+        s.drug = s.ent("Drug", rng.choice(DRUGS))
         s.lit(" ")
-        s.links.append((s.ent("Dosage", rng.choice(cfg.dosages)), "Refer_to"))
+        s.links.append((s.ent("Dosage", rng.choice(DOSAGES)), "Refer_to"))
         s.lit(".")
         s.links.append((ctx, "Negation"))
     elif kind == "hypothetical":
         ctx = s.ent("Context", "Hypothèse")
         s.lit(" d'un passage à ")
-        s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+        s.drug = s.ent("Drug", rng.choice(DRUGS))
         s.lit(" à discuter.")
         s.links.append((ctx, "Hypothetical"))
     elif kind == "contraindicated":
         ctx = s.ent("Context", "Contre-indication")
         s.lit(" à ")
-        s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+        s.drug = s.ent("Drug", rng.choice(DRUGS))
         s.lit(" retenue.")
         s.links.append((ctx, "Contraindicated"))
     elif kind == "duration":
         s.lit("Prescription de ")
-        s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+        s.drug = s.ent("Drug", rng.choice(DRUGS))
         s.lit(" ")
-        s.links.append((s.ent("Dosage", rng.choice(cfg.dosages)), "Refer_to"))
+        s.links.append((s.ent("Dosage", rng.choice(DOSAGES)), "Refer_to"))
         s.lit(" pendant ")
-        s.links.append((s.ent("Duration", rng.choice(cfg.durations)), "Duration_prescription"))
+        s.links.append((s.ent("Duration", rng.choice(DURATIONS)), "Duration_prescription"))
         if rng.random() < 0.5:
             s.lit(" " + rng.choice(PADS))
         s.lit(".")
     elif kind == "relative":
         s.lit("Introduction de ")
-        s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+        s.drug = s.ent("Drug", rng.choice(DRUGS))
         s.lit(" il y a ")
-        s.links.append((s.ent("Relative_Date", rng.choice(cfg.relative_dates)), "Start"))
+        s.links.append((s.ent("Relative_Date", rng.choice(RELATIVE_DATES)), "Start"))
         s.lit(".")
     else:
         raise AssertionError(kind)
@@ -248,52 +234,52 @@ _SPECIAL_KINDS = ("increase", "decrease", "negation", "hypothetical", "contraind
 
 def _corp_hus_sentence(rng: random.Random, cfg: GenConfig) -> _Sentence:
     if rng.random() < cfg.multi_frame_rate:
-        return _multi_frame_sentence(rng, cfg)
+        return _multi_frame_sentence(rng)
     roll = rng.random()
     if roll < 0.70:
         if rng.random() < 0.08:
-            return _regimen_sentence(rng, cfg, cfg.drug_classes, "Drug_Class")
-        return _regimen_sentence(rng, cfg, cfg.drugs, "Drug")
-    return _simple_special(rng, cfg, rng.choice(_SPECIAL_KINDS))
+            return _regimen_sentence(rng, cfg, DRUG_CLASSES, "Drug_Class")
+        return _regimen_sentence(rng, cfg, DRUGS, "Drug")
+    return _simple_special(rng, rng.choice(_SPECIAL_KINDS))
 
 
 def _n2c2_regimen(rng: random.Random, cfg: GenConfig) -> _Sentence:
     s = _Sentence()
     s.lit(rng.choice(("Patient was started on ", "Continue ", "She was given ")))
-    s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+    s.drug = s.ent("Drug", rng.choice(DRUGS))
     if rng.random() < 0.6:
         s.lit(" ")
-        s.links.append((s.ent("Strength", rng.choice(cfg.dosages)), "Strength-Drug"))
+        s.links.append((s.ent("Strength", rng.choice(DOSAGES)), "Strength-Drug"))
     if rng.random() < 0.4:
         s.lit(" ")
-        s.links.append((s.ent("Form", rng.choice(cfg.forms)), "Form-Drug"))
+        s.links.append((s.ent("Form", rng.choice(FORMS)), "Form-Drug"))
     if rng.random() < 0.45:
         s.lit(" ")
-        s.links.append((s.ent("Route", rng.choice(cfg.routes)), "Route-Drug"))
+        s.links.append((s.ent("Route", rng.choice(ROUTES)), "Route-Drug"))
     if rng.random() < 0.5:
         s.lit(" ")
-        s.links.append((s.ent("Frequency", rng.choice(cfg.frequencies)), "Frequency-Drug"))
+        s.links.append((s.ent("Frequency", rng.choice(FREQUENCIES)), "Frequency-Drug"))
     if rng.random() < cfg.context_relation_rate:
         s.lit(" for ")
-        s.links.append((s.ent("Reason", rng.choice(cfg.reasons)), "Reason-Drug"))
+        s.links.append((s.ent("Reason", rng.choice(REASONS)), "Reason-Drug"))
     if rng.random() < 0.5:
         s.lit(" " + rng.choice(PADS_EN))
     s.lit(".")
     return s
 
 
-def _n2c2_multi_frame(rng: random.Random, cfg: GenConfig) -> _Sentence:
+def _n2c2_multi_frame(rng: random.Random) -> _Sentence:
     s = _Sentence()
     s.lit("Plan: ")
-    s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+    s.drug = s.ent("Drug", rng.choice(DRUGS))
     s.lit(" ")
-    strength1 = s.ent("Strength", rng.choice(cfg.dosages))
+    strength1 = s.ent("Strength", rng.choice(DOSAGES))
     s.lit(" for ")
-    duration1 = s.ent("Duration", rng.choice(cfg.durations))
+    duration1 = s.ent("Duration", rng.choice(DURATIONS))
     s.lit(", then ")
-    strength2 = s.ent("Strength", rng.choice(cfg.dosages))
+    strength2 = s.ent("Strength", rng.choice(DOSAGES))
     s.lit(" for ")
-    duration2 = s.ent("Duration", rng.choice(cfg.durations))
+    duration2 = s.ent("Duration", rng.choice(DURATIONS))
     s.lit(".")
     s.links.extend([(strength1, "Strength-Drug"), (duration1, "Duration-Drug"),
                     (strength2, "Strength-Drug"), (duration2, "Duration-Drug")])
@@ -301,12 +287,12 @@ def _n2c2_multi_frame(rng: random.Random, cfg: GenConfig) -> _Sentence:
     return s
 
 
-def _n2c2_ade(rng: random.Random, cfg: GenConfig) -> _Sentence:
+def _n2c2_ade(rng: random.Random) -> _Sentence:
     s = _Sentence()
     s.lit("Patient developed ")
-    ade = s.ent("ADE", rng.choice(cfg.ades))
+    ade = s.ent("ADE", rng.choice(ADES))
     s.lit(" attributed to ")
-    s.drug = s.ent("Drug", rng.choice(cfg.drugs))
+    s.drug = s.ent("Drug", rng.choice(DRUGS))
     s.lit(".")
     s.links.append((ade, "ADE-Drug"))
     return s
@@ -314,21 +300,21 @@ def _n2c2_ade(rng: random.Random, cfg: GenConfig) -> _Sentence:
 
 def _n2c2_sentence(rng: random.Random, cfg: GenConfig) -> _Sentence:
     if rng.random() < cfg.multi_frame_rate:
-        return _n2c2_multi_frame(rng, cfg)
+        return _n2c2_multi_frame(rng)
     if rng.random() < 0.12:
-        return _n2c2_ade(rng, cfg)
+        return _n2c2_ade(rng)
     return _n2c2_regimen(rng, cfg)
 
 
-def _lone_date_sentence(rng: random.Random, cfg: GenConfig, schema: SchemaProfile) -> _Sentence:
+def _lone_date_sentence(rng: random.Random, schema: SchemaProfile) -> _Sentence:
     s = _Sentence()
     if "Date" in schema.entity_types:
         s.lit("Consultation du ")
-        s.ent("Date", rng.choice(cfg.dates))
+        s.ent("Date", rng.choice(DATES))
         s.lit(".")
     else:
         s.lit("Follow-up in ")
-        s.ent("Duration", rng.choice(cfg.durations))
+        s.ent("Duration", rng.choice(DURATIONS))
         s.lit(".")
     return s
 
@@ -344,7 +330,7 @@ def _generate_document(index: int, cfg: GenConfig, schema: SchemaProfile) -> Doc
             filler.lit(rng.choice(FILLERS))
             sentences.append(filler)
         elif roll < cfg.filler_rate + 0.07:
-            sentences.append(_lone_date_sentence(rng, cfg, schema))
+            sentences.append(_lone_date_sentence(rng, schema))
         elif schema.name == "n2c2":
             sentences.append(_n2c2_sentence(rng, cfg))
         else:
@@ -376,26 +362,9 @@ def _generate_document(index: int, cfg: GenConfig, schema: SchemaProfile) -> Doc
         offset += len(s.text()) + 1  # newline separator
     text = "\n".join(chunks) + ("\n" if chunks else "")
 
-    frame_counts: dict[str, int] = {}
-    for f in frames:
-        frame_counts[f.drug] = frame_counts.get(f.drug, 0) + 1
-    multi = FrameSet(
-        f"doc{index:04d}",
-        tuple(f for f in frames if frame_counts[f.drug] >= 2),
-    )
-    seen = {(r.rtype, r.source, r.target) for r in relations}
-    n_sf = 0
-    for r in frames_to_relations(multi, include_same_frame=True):
-        if r.rtype != SAME_FRAME:
-            continue
-        triple = (SAME_FRAME, r.source, r.target)
-        if triple in seen:
-            continue
-        seen.add(triple)
-        n_sf += 1
-        relations.append(Relation(f"SF{n_sf}", SAME_FRAME, r.source, r.target))
-    return Document(f"doc{index:04d}", text, tuple(entities), tuple(relations))
-
+    doc = Document(f"doc{index:04d}", text, tuple(entities), tuple(relations))
+    multi = FrameSet(doc.doc_id, tuple(frames)).multi_frame_drugs()
+    return with_same_frame(doc, [f for f in frames if f.drug in multi])
 
 def generate_corpus(cfg: GenConfig) -> list[Document]:
     """Deterministic under the seed; per-document derived seeds keep it parallel-safe.

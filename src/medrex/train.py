@@ -1,4 +1,4 @@
-"""Training loop, checkpoint bundles, computational-cost report, end-to-end glue.
+"""Training loop, checkpoint bundles, computational-cost report.
 
 Training is single threaded and fully seeded: epoch-level shuffling, model
 initialisation, and dropout all derive from the run seed, so identical
@@ -18,8 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .checkpoint import load_checkpoint, save_checkpoint
-from .evaluate import EvalReport, evaluate
-from .frames import FrameSet, augment_document, decode_frames
+from .frames import augment_document
 from .model import (
     BaselinePairModel,
     ModelConfig,
@@ -31,7 +30,6 @@ from .model import (
 from .optim import LrSchedule, adam_step, lr_at
 from .schema import SchemaProfile
 from .standoff import Document, Entity, validate_document
-from .evaluate import predictions_to_relations
 from .windowing import (
     EncodedSegment,
     RelationClassMap,
@@ -248,19 +246,6 @@ class InferenceBundle:
             for doc in docs
         }
 
-    def decode_frame_sets(
-        self, docs: list[Document], predictions: dict[str, list[PredictedRelation]],
-        entities_map: dict[str, list[Entity]] | None = None,
-    ) -> dict[str, FrameSet]:
-        out = {}
-        for doc in docs:
-            entities = entities_map.get(doc.doc_id) if entities_map else list(doc.entities)
-            out[doc.doc_id] = decode_frames(
-                entities, predictions_to_relations(predictions.get(doc.doc_id, [])),
-                self.schema, doc_id=doc.doc_id,
-            )
-        return out
-
 
 def save_bundle(path: str, result: TrainResult) -> None:
     config = {
@@ -358,20 +343,3 @@ def cost_report(
         baseline_seconds=sum(baseline_epoch_seconds),
     )
 
-
-def end_to_end(
-    gold_docs: list[Document],
-    entities_map: dict[str, list[Entity]],
-    bundle: InferenceBundle,
-) -> tuple[dict[str, list[PredictedRelation]], dict[str, FrameSet], dict[str, EvalReport]]:
-    """Predict with externally provided entities and score against gold, both modes."""
-    missing = [doc.doc_id for doc in gold_docs if doc.doc_id not in entities_map]
-    if missing:
-        raise TrainingError(f"missing entity files for documents: {', '.join(sorted(missing))}")
-    predictions = bundle.predict_corpus(gold_docs, entities_map)
-    frame_sets = bundle.decode_frame_sets(gold_docs, predictions, entities_map)
-    reports = {
-        mode: evaluate(gold_docs, predictions, mode, bundle.schema)
-        for mode in ("strict", "lenient")
-    }
-    return predictions, frame_sets, reports

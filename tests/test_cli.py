@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from medrex.cli import ALL, OPTIONS, build_parser, main
+from medrex.cli import ALL, OPTIONS, Options, build_parser, main
 
 TINY_MODEL_FLAGS = [
     "--d-model", "16", "--encoder-layers", "1", "--encoder-heads", "2",
@@ -200,9 +201,62 @@ def test_workdir_resolves_relative_paths(tmp_path):
     assert (tmp_path / "rel-corpus" / "manifest.json").exists()
 
 
-def test_grad_check_config_accepts_preset_name(capsys):
-    assert run_cli(["grad-check", "--config", "small", "--samples", "2"]) == 0
-    assert "PASS" in capsys.readouterr().out
+def test_grad_check_config_names_a_file_even_if_it_matches_a_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["grad-check", "--config", "small"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "missing-path"
+    (tmp_path / "small").write_text("preset = small\nsamples = 2\n", encoding="utf-8")
+    assert run_cli(["grad-check", "--config", "small"]) == 0
+    assert "preset=small" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["predict", "--seed", 3], ["grad-check", "--workdir", "x"]])
+def test_options_a_subcommand_never_reads_are_rejected(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(argv)
+    assert excinfo.value.code == 2
+
+
+def _one_run_per_subcommand(ws, out):
+    data, ckpt = ws / "data", ws / "ckpt" / "model.ckpt"
+    return {
+        "generate": ["--docs", 2, "--out", out],
+        "stats": ["--data", data],
+        "convert-frames": ["--data", data, "--out", out],
+        "train": ["--data", data, "--out", out, "--epochs", 1, *TINY_MODEL_FLAGS],
+        "predict": ["--ckpt", ckpt, "--data", data, "--out", out],
+        "evaluate": ["--gold", data, "--pred", data],
+        "end-to-end": ["--ckpt", ckpt, "--data", data, "--gold", data, "--out", out],
+        "cost-report": ["--data", data, *TINY_MODEL_FLAGS],
+        "grad-check": ["--preset", "small", "--samples", 2],
+    }
+
+
+@pytest.mark.parametrize("subcommand", ALL)
+def test_each_subcommand_reads_exactly_its_options(subcommand, workspace, tmp_path, monkeypatch):
+    read = set()
+    original = Options.get
+
+    def recording_get(self, name):
+        read.add(name)
+        return original(self, name)
+
+    monkeypatch.setattr(Options, "get", recording_get)
+    argv = _one_run_per_subcommand(workspace, tmp_path / "out")[subcommand]
+    assert run_cli([subcommand, *argv]) == 0
+    assert read == {opt.name for opt in OPTIONS if subcommand in opt.commands}
+
+
+def test_end_to_end_missing_entity_file_exits_4_naming_the_doc(workspace, tmp_path, capsys):
+    data = tmp_path / "tagged"
+    shutil.copytree(workspace / "data", data)
+    missing = sorted(f for f in os.listdir(data) if f.endswith(".ann"))[1]
+    (data / missing).unlink()
+    assert run_cli(["end-to-end", "--ckpt", workspace / "ckpt" / "model.ckpt", "--data", data,
+                    "--gold", workspace / "data", "--out", tmp_path / "e2e"]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "missing-path"
+    assert missing[:-4] in error["message"]
 
 
 def test_help_documents_every_flag():

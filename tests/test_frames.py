@@ -6,9 +6,9 @@ from medrex.frames import (
     augment_document,
     build_frames,
     decode_frames,
-    frame_violations,
     frames_to_jsonl,
     frames_to_relations,
+    with_same_frame,
 )
 from medrex.schema import SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
@@ -75,7 +75,7 @@ def test_isolated_attribute_becomes_singleton_frame(corp_hus):
     assert groups == [frozenset({"T2", "T3"}), frozenset({"T4"})]
 
 
-def test_cross_drug_same_frame_reported_and_ignored(corp_hus):
+def test_cross_drug_same_frame_ignored(corp_hus):
     entities = [
         Entity("T1", "Drug", 0, 4, "x"),
         Entity("T2", "Dosage", 6, 10, "x"),
@@ -87,10 +87,7 @@ def test_cross_drug_same_frame_reported_and_ignored(corp_hus):
         Relation("R2", "Refer_to", "T4", "T3"),
         Relation("R3", SAME_FRAME, "T2", "T4"),
     ]
-    doc = _doc(entities, relations)
-    violations = frame_violations(doc, corp_hus)
-    assert [v.rule for v in violations] == ["cross-drug-same-frame"]
-    fs = build_frames(doc, corp_hus)
+    fs = build_frames(_doc(entities, relations), corp_hus)
     assert normalize_frameset(fs) == [
         ("T1", (("T2", "Refer_to"),)),
         ("T3", (("T4", "Refer_to"),)),
@@ -130,6 +127,21 @@ def test_frames_to_relations_two_frame_fixture_counts(corp_hus):
     same = [r for r in rels if r.rtype == SAME_FRAME]
     assert len(typed) == 8  # 4 links per frame, shared attributes emitted per frame
     assert len(same) == 12  # 2 * C(4,2)
+
+
+def test_with_same_frame_dedups_shared_attributes_and_numbers_edges(corp_hus):
+    doc = tocilizumab_document()  # conftest builds its SAME_FRAME edges independently
+    typed = tuple(r for r in doc.relations if r.rtype != SAME_FRAME)
+    stale = Relation("R99", SAME_FRAME, "T3", "T7")
+    out = with_same_frame(Document(doc.doc_id, doc.text, doc.entities, typed + (stale,)),
+                          build_frames(doc, corp_hus).frames)
+    assert out.relations[:len(typed)] == typed
+    edges = out.relations[len(typed):]
+    assert [r.id for r in edges] == [f"SF{i}" for i in range(1, 12)]  # 2 * C(4,2) less the shared pair
+    assert {frozenset((r.source, r.target)) for r in edges} == {
+        frozenset((r.source, r.target)) for r in doc.relations if r.rtype == SAME_FRAME
+    }
+    assert with_same_frame(doc, []).relations == typed
 
 
 def test_decode_gold_predictions_is_idempotent(corp_hus):

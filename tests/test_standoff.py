@@ -10,7 +10,6 @@ from medrex.schema import (
     SchemaError,
     SchemaProfile,
     UnknownProfileError,
-    get_profile,
     load_profile,
     resolve_profile,
 )
@@ -192,8 +191,8 @@ def test_corpus_dir_roundtrip(tmp_path, corp_hus):
 
 
 def test_builtin_profiles():
-    assert get_profile("corp-hus") is CORP_HUS
-    assert get_profile("n2c2") is N2C2
+    assert resolve_profile("corp-hus") is CORP_HUS
+    assert resolve_profile("n2c2") is N2C2
     assert len(CORP_HUS.relation_types) == 14
     assert len(N2C2.relation_types) == 8
     assert "Refer_to" in CORP_HUS.relation_types
@@ -201,7 +200,7 @@ def test_builtin_profiles():
     assert CORP_HUS.drug_types == {"Drug", "Drug_Class"}
     assert not CORP_HUS.drug_types & CORP_HUS.attribute_types
     with pytest.raises(UnknownProfileError):
-        get_profile("nope")
+        resolve_profile("nope")
 
 
 def test_same_frame_reserved():

@@ -10,7 +10,6 @@ from medrex.train import (
     TrainConfig,
     TrainingError,
     cost_report,
-    end_to_end,
     load_bundle,
     save_bundle,
     train,
@@ -148,19 +147,12 @@ def test_end_to_end_gold_entities_match_plain_evaluation(small_corpus):
                    model_overrides=TINY)
     bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
     entities_map = {d.doc_id: list(d.entities) for d in small_corpus}
-    predictions, frame_sets, reports = end_to_end(small_corpus, entities_map, bundle)
-    assert set(reports) == {"strict", "lenient"}
+    provided = bundle.predict_corpus(small_corpus, entities_map)
+    reports = {mode: evaluate(small_corpus, provided, mode, CORP_HUS) for mode in ("strict", "lenient")}
     direct = evaluate(small_corpus, bundle.predict_corpus(small_corpus), "strict", CORP_HUS)
     assert reports["strict"].to_dict() == direct.to_dict()
-    assert set(frame_sets) == {d.doc_id for d in small_corpus}
+    assert set(provided) == {d.doc_id for d in small_corpus}
     assert reports["lenient"].micro.f1 >= reports["strict"].micro.f1
-
-
-def test_end_to_end_missing_entity_file_lists_doc_ids(small_corpus):
-    result = train(small_corpus[:2], CORP_HUS, TrainConfig(epochs=1, seed=2), model_overrides=TINY)
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
-    with pytest.raises(TrainingError, match=small_corpus[1].doc_id):
-        end_to_end(small_corpus[:2], {small_corpus[0].doc_id: []}, bundle)
 
 
 def test_entity_deletion_never_improves_recall(small_corpus):
@@ -180,15 +172,16 @@ def test_entity_deletion_never_improves_recall(small_corpus):
             d.doc_id: [e for e in d.entities if rng.random() >= 0.1]
             for d in small_corpus
         }
-        _, _, reports = end_to_end(small_corpus, entities_map, bundle)
-        assert reports["strict"].micro.recall <= full.micro.recall + 1e-12
+        report = evaluate(small_corpus, bundle.predict_corpus(small_corpus, entities_map), "strict", CORP_HUS)
+        assert report.micro.recall <= full.micro.recall + 1e-12
 
 
 def test_end_to_end_empty_entities_yield_no_predictions(small_corpus):
     result = train(small_corpus, CORP_HUS, TrainConfig(epochs=1, seed=2), model_overrides=TINY)
     bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
     entities_map = {d.doc_id: [] for d in small_corpus}
-    predictions, _, reports = end_to_end(small_corpus, entities_map, bundle)
+    predictions = bundle.predict_corpus(small_corpus, entities_map)
     assert all(not preds for preds in predictions.values())
-    assert reports["strict"].micro.f1 == 0.0
-    assert reports["strict"].micro.undefined_precision
+    report = evaluate(small_corpus, predictions, "strict", CORP_HUS)
+    assert report.micro.f1 == 0.0
+    assert report.micro.undefined_precision
