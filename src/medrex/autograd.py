@@ -1,4 +1,10 @@
-"""Dense float64 tensors with reverse-mode differentiation.
+"""Dense tensors with reverse-mode differentiation.
+
+Tensors hold one compute dtype, held here the way ``no_grad`` is held:
+float64 by default, which the finite-difference gradient checks need, and
+float32 inside ``float32_compute``, where training and inference run. New
+tensors, gradients, dropout masks and op constants all take it, so every op
+output stays in it.
 
 Each operation computes its result eagerly with numpy and, while gradients
 are enabled, records a closure that pushes the output gradient back to its
@@ -19,6 +25,7 @@ import numpy as np
 
 _grad_enabled = True
 _debug_checks = True
+_dtype = np.dtype(np.float64)
 
 
 class ShapeError(ValueError):
@@ -51,11 +58,27 @@ def no_grad():
         _grad_enabled = previous
 
 
+@contextlib.contextmanager
+def float32_compute():
+    """Compute in float32 inside the block (training and inference); float64 holds outside it."""
+    global _dtype
+    previous = _dtype
+    _dtype = np.dtype(np.float32)
+    try:
+        yield
+    finally:
+        _dtype = previous
+
+
+def compute_dtype() -> np.dtype:
+    return _dtype
+
+
 class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backprop", "_consumed")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
-        self.values = np.asarray(values, dtype=np.float64)
+        self.values = np.asarray(values, dtype=_dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -81,7 +104,7 @@ def as_tensor(x) -> Tensor:
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
     # a single-pass sum is NaN or +-inf iff the array holds a non-finite value
-    # (finite desk-scale magnitudes cannot overflow the accumulator)
+    # (finite desk-scale magnitudes cannot overflow the accumulator, even in float32)
     if _debug_checks and not math.isfinite(float(arr.sum())):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
@@ -101,7 +124,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         return
     if t.grad is None:
         # own a copy: g may alias another tensor's gradient buffer or a view
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=_dtype)
     else:
         t.grad += g
 
@@ -272,7 +295,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
-    mask = (rng.random(x.values.shape) >= p) / (1.0 - p)
+    mask = (rng.random(x.values.shape, dtype=_dtype) >= p).astype(_dtype) / (1.0 - p)
     values = x.values * mask
 
     def backprop(g):
@@ -379,7 +402,7 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    loss.grad = np.ones(())
+    loss.grad = np.ones((), dtype=_dtype)
     for node in reversed(order):
         if node._backprop is not None and node.grad is not None:
             if _debug_checks and not math.isfinite(float(node.grad.sum())):

@@ -417,6 +417,8 @@ def _cmd_grad_check(args) -> int:
     samples = options.get("samples")
     if samples is None:
         samples = sizes["samples"]
+    if samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
     tol = options.get("tol")
     seed = options.get("seed")
     model, segment = grad_check_fixture(sizes["d_model"], sizes["seq"], sizes["entities"], seed)

@@ -346,6 +346,7 @@ def _softmax_rows(values: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+@ag.float32_compute()
 def predict_relations(
     model: PairwiseREModel,
     doc: Document,
@@ -362,7 +363,8 @@ def predict_relations(
     by default, or externally provided ones (upstream tagger output). When
     windows overlap, the same entity pair can be scored several times;
     the candidate with the highest probability wins, earlier windows winning
-    ties, and the final entity-level relation list is deduplicated.
+    ties, and the final entity-level relation list is deduplicated. The
+    forward pass computes in float32, whatever the parameters' dtype.
     """
     if len(class_map) != model.config.num_classes:
         raise ModelError(

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, backward, debug_checks_enabled, no_grad, set_debug_checks
+from .autograd import Tensor, backward, compute_dtype, debug_checks_enabled, no_grad, set_debug_checks
+from .checkpoint import CheckpointError
 
 
 class ParamStore:
@@ -21,7 +22,7 @@ class ParamStore:
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self.params:
             raise ValueError(f"parameter {name!r} already registered")
-        t = Tensor(np.array(values, dtype=np.float64), requires_grad=True, name=name)
+        t = Tensor(np.array(values, dtype=compute_dtype()), requires_grad=True, name=name)
         self.params[name] = t
         self._m[name] = np.zeros_like(t.values)
         self._v[name] = np.zeros_like(t.values)
@@ -43,11 +44,17 @@ class ParamStore:
         return list(self.params)
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            p = self.params[name]
-            if p.values.shape != arr.shape:
-                raise ValueError(f"parameter {name!r}: expected shape {p.values.shape}, got {arr.shape}")
-            p.values[...] = arr
+        """Overwrite every parameter, cast to its dtype; the names and shapes must match exactly."""
+        missing = [name for name in self.params if name not in values]
+        unknown = [name for name in values if name not in self.params]
+        if missing or unknown:
+            raise CheckpointError(
+                f"parameter set differs from the model: missing {missing or 'none'}, unknown {unknown or 'none'}"
+            )
+        for name, p in self.params.items():
+            if p.values.shape != values[name].shape:
+                raise CheckpointError(f"parameter {name!r}: expected shape {p.values.shape}, got {values[name].shape}")
+            p.values[...] = values[name]
 
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -121,10 +128,14 @@ def finite_diff_check(
     ``loss_fn`` must be deterministic (dropout disabled, fixed inputs) and
     return a scalar Tensor built from recorded ops. The relative error is
     |analytic - numeric| / max(1, |analytic|, |numeric|), so coordinates with
-    a true zero gradient only contribute round-off noise.
+    a true zero gradient only contribute round-off noise. Central differences
+    in float32 are round-off, so the parameters and the compute dtype must
+    be float64.
     """
     if isinstance(params, ParamStore):
         params = dict(params.items())
+    if compute_dtype() != np.float64 or any(p.values.dtype != np.float64 for p in params.values()):
+        raise ValueError("finite differences need float64 parameters and float64 compute")
     for p in params.values():
         p.grad = None
     backward(loss_fn())

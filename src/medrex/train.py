@@ -4,7 +4,9 @@ Training is single threaded and fully seeded: epoch-level shuffling, model
 initialisation, and dropout all derive from the run seed, so identical
 configurations produce bit-identical checkpoints. The optimiser follows the
 warmup-then-decay schedule; the loss is the masked pairwise cross entropy,
-averaged over the segments of each batch.
+averaged over the segments of each batch. Training, loaded bundles and the
+cost report compute in float32 (``autograd.float32_compute``); checkpoints
+store those values exactly as float64 payloads.
 """
 
 from __future__ import annotations
@@ -200,6 +202,7 @@ def _baseline_loss(model: BaselinePairModel):
     return batch_loss
 
 
+@ag.float32_compute()
 def train(
     corpus: list[Document],
     schema: SchemaProfile,
@@ -260,6 +263,7 @@ def save_bundle(path: str, result: TrainResult) -> None:
     save_checkpoint(path, {name: p.values for name, p in result.model.params.items()}, config)
 
 
+@ag.float32_compute()
 def load_bundle(path: str) -> InferenceBundle:
     params, config = load_checkpoint(path)
     schema = SchemaProfile.from_dict(config["schema"])
@@ -309,6 +313,7 @@ class CostReport:
         }
 
 
+@ag.float32_compute()
 def cost_report(
     corpus: list[Document],
     schema: SchemaProfile,

@@ -208,3 +208,53 @@ def test_cross_entropy_non_negative(n, c, seed):
     logits = ag.Tensor(rng.standard_normal((n, c)) * 5)
     ids = rng.integers(0, c, size=n)
     assert (ag.cross_entropy(logits, ids).values >= 0).all()
+
+
+def test_float32_compute_holds_the_dtype_inside_the_block_only():
+    rng = np.random.default_rng(14)
+    assert ag.compute_dtype() == np.float64
+    with ag.float32_compute():
+        assert ag.compute_dtype() == np.float32
+        x = ag.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = ag.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        h = ag.dropout(ag.gelu(ag.matmul(x, w)), 0.5, np.random.default_rng(0), training=True)
+        loss = ag.reduce_mean(ag.scale(ag.cross_entropy(h, [0, 1, 1, 0]), 3.0))
+        ag.backward(loss)
+    assert ag.compute_dtype() == np.float64
+    assert {t.values.dtype for t in (x, w, h, loss)} == {np.dtype(np.float32)}
+    assert x.grad.dtype == w.grad.dtype == np.float32
+    assert ag.Tensor([1.0]).values.dtype == np.float64
+
+
+def test_float32_compute_restores_float64_after_an_error():
+    with pytest.raises(RuntimeError), ag.float32_compute():
+        raise RuntimeError("boom")
+    assert ag.compute_dtype() == np.float64
+
+
+def test_float32_dropout_mask_keeps_the_expected_share():
+    with ag.float32_compute():
+        x = ag.Tensor(np.ones((200, 50)), requires_grad=True)
+        out = ag.dropout(x, 0.25, np.random.default_rng(3), training=True)
+    kept = out.values != 0
+    assert out.values.dtype == np.float32
+    assert abs(kept.mean() - 0.75) < 0.02
+    np.testing.assert_allclose(out.values[kept], 1.0 / 0.75, rtol=1e-6)
+
+
+def test_float32_forward_overflow_raises():
+    # 1e30 * 1e30 is finite in float64 but overflows float32
+    with ag.float32_compute(), np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="mul"):
+        ag.mul(ag.Tensor([1e30]), ag.Tensor([1e30]))
+
+
+def test_float32_backward_overflow_raises():
+    # the forward values stay finite; the gradient reaching `a` is 1e60, past float32's range
+    with ag.float32_compute(), np.errstate(over="ignore"):
+        x = ag.Tensor([1.0], requires_grad=True)
+        a = ag.scale(x, 1e-30)
+        u = ag.mul(a, ag.Tensor([1e30]))
+        loss = ag.reduce_sum(ag.mul(u, ag.Tensor([1e30])))
+        assert np.isfinite(loss.values)
+        with pytest.raises(FloatingPointError, match="backward"):
+            ag.backward(loss)

@@ -6,8 +6,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from medrex.checkpoint import load_checkpoint, save_checkpoint
 from medrex.cli import ALL, OPTIONS, Options, build_parser, main
 
 TINY_MODEL_FLAGS = [
@@ -315,3 +317,38 @@ def test_predict_provided_and_end_to_end_write_identical_files(workspace, tmp_pa
     assert len(written) == 12 and (predicted / "relations.jsonl").read_text(encoding="utf-8")
     for name in written + ["relations.jsonl"]:
         assert (predicted / name).read_bytes() == (e2e / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_grad_check_samples_below_one_exit_6(samples, capsys):
+    assert run_cli(["grad-check", "--preset", "small", "--samples", samples]) == 6
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "--samples" in error["message"]
+
+
+def _drop_first(params):
+    del params[next(iter(params))]
+
+
+def _add_unknown(params):
+    params["stray.w"] = np.zeros(3)
+
+
+def _widen_last(params):
+    name = list(params)[-1]
+    params[name] = np.zeros(params[name].shape[:-1] + (params[name].shape[-1] + 1,))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_first, "missing ['tok_emb']"),
+    (_add_unknown, "unknown ['stray.w']"),
+    (_widen_last, "'pair.fc2.b': expected shape"),
+])
+def test_predict_rejects_a_checkpoint_with_other_parameters(edit, message, workspace, tmp_path, capsys):
+    params, config = load_checkpoint(str(workspace / "ckpt" / "model.ckpt"))
+    edit(params)
+    ckpt = tmp_path / "edited.ckpt"
+    save_checkpoint(str(ckpt), params, config)
+    assert run_cli(["predict", "--ckpt", ckpt, "--data", workspace / "data", "--out", tmp_path / "p"]) == 6
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and message in error["message"]

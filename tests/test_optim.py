@@ -137,3 +137,15 @@ def test_param_store_snapshot_roundtrip():
     np.testing.assert_array_equal(store["a"].values, np.arange(4.0))
     with pytest.raises(ValueError):
         store.load_values({"a": np.zeros((9, 9))})
+
+
+def test_finite_diff_check_refuses_float32():
+    with ag.float32_compute():
+        store = ParamStore()
+        w = store.add("w", np.array([1.0, 2.0]))
+        assert w.values.dtype == np.float32
+        with pytest.raises(ValueError, match="float64"):
+            finite_diff_check(lambda: ag.reduce_sum(ag.mul(w, w)), store, samples_per_param=2)
+    with pytest.raises(ValueError, match="float64"):
+        finite_diff_check(lambda: ag.reduce_sum(ag.mul(w, w)), store, samples_per_param=2)
+

@@ -33,14 +33,17 @@ def test_config_validation():
     assert cfg.stride_chars == 100
 
 
-def test_single_segment_single_epoch_is_one_step():
+def _aspirin_doc() -> Document:
     text = "aspirine 500 mg au coucher"
-    doc = Document(
+    return Document(
         "d", text,
         (Entity("T1", "Drug", 0, 8, "aspirine"), Entity("T2", "Dosage", 9, 15, "500 mg")),
         (Relation("R1", "Refer_to", "T2", "T1"),),
     )
-    result = train([doc], CORP_HUS, TrainConfig(epochs=1, seed=0), model_overrides=TINY)
+
+
+def test_single_segment_single_epoch_is_one_step():
+    result = train([_aspirin_doc()], CORP_HUS, TrainConfig(epochs=1, seed=0), model_overrides=TINY)
     assert len(result.run_log) == 1
     assert result.model.encoder_forwards == 1
     assert result.window_report.segments_emitted == 1
@@ -185,3 +188,83 @@ def test_end_to_end_empty_entities_yield_no_predictions(small_corpus):
     report = evaluate(small_corpus, predictions, "strict", CORP_HUS)
     assert report.micro.f1 == 0.0
     assert report.micro.undefined_precision
+
+
+def _record_node_dtypes(monkeypatch) -> set:
+    from medrex import autograd as ag
+
+    dtypes = set()
+    original = ag._node
+
+    def recording_node(values, parents, backprop, op):
+        dtypes.add((op, values.dtype.name))
+        return original(values, parents, backprop, op)
+
+    monkeypatch.setattr(ag, "_node", recording_node)
+    return dtypes
+
+
+def test_one_train_step_is_float32_throughout(monkeypatch):
+    from medrex import train as train_module
+
+    grads = {}
+    original_step = train_module.adam_step
+
+    def recording_step(store, lr):
+        grads.update({name: p.grad.dtype for name, p in store.items() if p.grad is not None})
+        return original_step(store, lr)
+
+    monkeypatch.setattr(train_module, "adam_step", recording_step)
+    nodes = _record_node_dtypes(monkeypatch)
+    result = train([_aspirin_doc()], CORP_HUS, TrainConfig(epochs=1, seed=0), model_overrides=TINY)
+    store = result.model.params
+    assert len(result.run_log) == 1
+    assert {p.values.dtype for _, p in store.items()} == {np.dtype(np.float32)}
+    assert len(grads) == len(store) and set(grads.values()) == {np.dtype(np.float32)}
+    moments = list(store._m.values()) + list(store._v.values())
+    assert {m.dtype for m in moments} == {np.dtype(np.float32)}
+    assert {"matmul", "dropout", "cross_entropy", "mean"} <= {op for op, _ in nodes}
+    assert {dtype for _, dtype in nodes} == {"float32"}
+
+
+def test_predict_relations_logits_are_float32(monkeypatch, small_corpus):
+    from medrex.model import PairwiseREModel
+
+    result = train(small_corpus, CORP_HUS, TrainConfig(epochs=1, seed=0), model_overrides=TINY)
+    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
+    logits = []
+    original = PairwiseREModel.forward
+
+    def recording_forward(self, *args, **kwargs):
+        logits.append(original(self, *args, **kwargs))
+        return logits[-1]
+
+    monkeypatch.setattr(PairwiseREModel, "forward", recording_forward)
+    nodes = _record_node_dtypes(monkeypatch)
+    bundle.predict_corpus(small_corpus[:2])
+    assert logits and {t.values.dtype for t in logits} == {np.dtype(np.float32)}
+    assert {dtype for _, dtype in nodes} == {"float32"}
+
+
+def test_grad_check_fixture_computes_in_float64(monkeypatch):
+    from medrex.model import grad_check_fixture, masked_loss
+    from medrex.optim import finite_diff_check
+
+    model, segment = grad_check_fixture(d_model=16, seq=12, n_entities=3, seed=0)
+    assert {p.values.dtype for _, p in model.params.items()} == {np.dtype(np.float64)}
+    nodes = _record_node_dtypes(monkeypatch)
+    result = finite_diff_check(lambda: masked_loss(model.forward(segment), segment.targets),
+                               model.params, samples_per_param=2)
+    assert result.max_rel_error < 1e-4
+    assert {dtype for _, dtype in nodes} == {"float64"}
+
+
+def test_float32_parameters_survive_a_bundle_roundtrip_bit_exactly(tmp_path, small_corpus):
+    result = train(small_corpus, CORP_HUS, TrainConfig(epochs=1, seed=3, peak_lr=1e-3), model_overrides=TINY)
+    path = str(tmp_path / "model.ckpt")
+    save_bundle(path, result)
+    loaded = load_bundle(path)
+    for name, p in result.model.params.items():
+        q = loaded.model.params[name]
+        assert p.values.dtype == q.values.dtype == np.float32
+        assert p.values.tobytes() == q.values.tobytes(), name
