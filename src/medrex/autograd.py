@@ -330,16 +330,6 @@ def cross_entropy(logits: Tensor, class_ids) -> Tensor:
     return _node(values, (logits,), backprop, "cross_entropy")
 
 
-def reduce_sum(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    values = np.asarray(x.values.sum())
-
-    def backprop(g):
-        _accumulate(x, np.full_like(x.values, float(g)))
-
-    return _node(values, (x,), backprop, "sum")
-
-
 def reduce_mean(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.values.size == 0:

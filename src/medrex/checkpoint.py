@@ -59,6 +59,9 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(blob[9:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    missing = [key for key in ("params", "config") if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header has no key {', '.join(map(repr, missing))}")
 
     params: dict[str, np.ndarray] = {}
     offset = header_end

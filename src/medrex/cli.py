@@ -26,7 +26,7 @@ from .evaluate import EvalReport, evaluate, format_report, predictions_to_relati
 from .frames import augment_document, build_frames, decode_frames, frames_to_jsonl
 from .model import ModelConfig, ModelError, PredictedRelation, grad_check_fixture, masked_loss
 from .optim import finite_diff_check
-from .schema import SchemaError, UnknownProfileError, resolve_profile
+from .schema import SchemaError, UnknownProfileError, read_key_value_file, resolve_profile
 from .standoff import Document, StandoffError, read_corpus_dir, read_document, write_corpus_dir
 from .stats import corpus_stats
 from .synth import GenConfig, GenerationError, generate_corpus, write_corpus
@@ -53,7 +53,8 @@ EXIT_CODE_HELP = """exit codes:
   0  success
   2  usage error (unknown flag, missing required argument)
   3  validation failure (standoff input, training data, model input)
-  4  missing path or missing companion file
+  4  missing path, missing companion file, or a path of the wrong kind
+     (a file where a directory is expected, or the reverse)
   5  unknown schema profile
   6  configuration error (config file, checkpoint format, type errors)
 """
@@ -64,19 +65,9 @@ class ConfigError(ValueError):
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
-    return values
+    return {key.replace("-", "_"): value for _, key, value in read_key_value_file(path, ConfigError)}
 
 
 def _coerce(name: str, raw: str, kind):
@@ -573,6 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERROR_EXITS = [
     ((UnknownProfileError,), "unknown-schema", EXIT_UNKNOWN_SCHEMA),
     ((FileNotFoundError,), "missing-path", EXIT_MISSING_PATH),
+    ((NotADirectoryError, IsADirectoryError, FileExistsError), "wrong-path-kind", EXIT_MISSING_PATH),
     ((StandoffError, TrainingError, GenerationError, WindowingError, ModelError), "validation", EXIT_VALIDATION),
     ((ConfigError, SchemaError, CheckpointError), "config", EXIT_CONFIG),
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .frames import FrameSet, build_frames, decode_frames
 from .model import PredictedRelation
-from .schema import SAME_FRAME, SchemaProfile
+from .schema import SchemaProfile
 from .standoff import Document, Entity, Relation
 
 STRICT, LENIENT = "strict", "lenient"
@@ -98,12 +98,6 @@ class EvalReport:
     rows: list[EvalRow] = field(default_factory=list)
     micro: EvalRow = field(default_factory=lambda: EvalRow("micro"))
 
-    def row_for(self, rtype: str) -> EvalRow | None:
-        for row in self.rows:
-            if row.rtype == rtype:
-                return row
-        return None
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -133,15 +127,13 @@ def evaluate(
     predictions: dict[str, list[PredictedRelation]],
     mode: str,
     schema: SchemaProfile,
-    include_same_frame: bool = False,
 ) -> EvalReport:
     """Score predictions against gold relations.
 
-    Only the schema's annotated relation inventory is scored by default;
-    SAME_FRAME edges are synthesized auxiliaries and join the scored set only
-    on request. Matching respects ``mode`` for both endpoints of a relation.
+    Only the schema's annotated relation inventory is scored; SAME_FRAME
+    edges are synthesized auxiliaries and never count. Matching respects
+    ``mode`` for both endpoints of a relation.
     """
-    scored_types = set(schema.relation_types) | ({SAME_FRAME} if include_same_frame else set())
     tallies: dict[str, EvalRow] = {}
 
     def row(rtype: str) -> EvalRow:
@@ -153,11 +145,11 @@ def evaluate(
         by_id = doc.entity_index()
         gold_by_type: dict[str, list[tuple[Entity, Entity]]] = defaultdict(list)
         for r in doc.relations:
-            if r.rtype in scored_types:
+            if r.rtype in schema.relation_types:
                 gold_by_type[r.rtype].append((by_id[r.source], by_id[r.target]))
         pred_by_type: dict[str, list[PredictedRelation]] = defaultdict(list)
         for p in predictions.get(doc.doc_id, []):
-            if p.rtype in scored_types:
+            if p.rtype in schema.relation_types:
                 pred_by_type[p.rtype].append(p)
         for rtype in sorted(set(gold_by_type) | set(pred_by_type)):
             golds = gold_by_type.get(rtype, [])

@@ -17,9 +17,10 @@ forms a singleton frame.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .schema import SAME_FRAME, SchemaProfile
@@ -91,12 +92,17 @@ def _frames_for_drug(
     ]
 
 
-def _frames_from(
-    doc_id: str,
-    entities: tuple[Entity, ...] | list[Entity],
-    relations: tuple[Relation, ...] | list[Relation],
+def decode_frames(
+    entities: list[Entity] | tuple[Entity, ...],
+    relations: list[Relation] | tuple[Relation, ...],
     schema: SchemaProfile,
+    doc_id: str = "pred",
 ) -> FrameSet:
+    """Group each drug's attributes into frames from the given (gold or predicted) relations.
+
+    Output ordering is deterministic: frames sorted by drug start offset, then
+    by the earliest attribute offset within the frame.
+    """
     by_id = {e.id: e for e in entities}
     attr_order = {
         e.id: i
@@ -137,55 +143,7 @@ def _frames_from(
 
 def build_frames(doc: Document, schema: SchemaProfile) -> FrameSet:
     """Group each drug's attributes into frames using the document's SAME_FRAME edges."""
-    return _frames_from(doc.doc_id, doc.entities, doc.relations, schema)
-
-
-def _same_frame_pairs(frames: Iterable[Frame]) -> Iterator[tuple[str, str]]:
-    """Each frame's complete graph: every (earlier, later) pair of its attributes."""
-    for frame in frames:
-        attrs = [a for a, _ in frame.links]
-        for i, a in enumerate(attrs):
-            for b in attrs[i + 1:]:
-                yield a, b
-
-
-def frames_to_relations(fs: FrameSet, include_same_frame: bool) -> list[Relation]:
-    """Emit one attribute->drug relation per link, plus per-frame complete SAME_FRAME graphs.
-
-    SAME_FRAME edges connect every unordered pair of attributes within a frame,
-    directed from the earlier attribute to the later one. Shared attributes can
-    make the returned list contain repeated triples; ``with_same_frame``
-    deduplicates them when it builds a document.
-    """
-    relations: list[Relation] = []
-    counter = 0
-
-    def emit(rtype: str, source: str, target: str) -> None:
-        nonlocal counter
-        counter += 1
-        relations.append(Relation(f"R{counter}", rtype, source, target))
-
-    for frame in fs.frames:
-        for attr, rtype in frame.links:
-            emit(rtype, attr, frame.drug)
-    if include_same_frame:
-        for a, b in _same_frame_pairs(fs.frames):
-            emit(SAME_FRAME, a, b)
-    return relations
-
-
-def decode_frames(
-    entities: list[Entity] | tuple[Entity, ...],
-    predicted_relations: list[Relation] | tuple[Relation, ...],
-    schema: SchemaProfile,
-    doc_id: str = "pred",
-) -> FrameSet:
-    """Apply the frame-grouping algorithm to predicted relations.
-
-    Output ordering is deterministic: frames sorted by drug start offset, then
-    by the earliest attribute offset within the frame.
-    """
-    return _frames_from(doc_id, entities, predicted_relations, schema)
+    return decode_frames(doc.entities, doc.relations, schema, doc.doc_id)
 
 
 def with_same_frame(doc: Document, frames: Iterable[Frame]) -> Document:
@@ -197,7 +155,10 @@ def with_same_frame(doc: Document, frames: Iterable[Frame]) -> Document:
     numbered SF1, SF2, ... in frame order.
     """
     kept = tuple(r for r in doc.relations if r.rtype != SAME_FRAME)
-    pairs = dict.fromkeys(_same_frame_pairs(frames))  # ordered set
+    # each frame's complete graph: every (earlier, later) pair of its attributes, as an ordered set
+    pairs = dict.fromkeys(
+        pair for frame in frames for pair in itertools.combinations([a for a, _ in frame.links], 2)
+    )
     edges = tuple(Relation(f"SF{i}", SAME_FRAME, a, b) for i, (a, b) in enumerate(pairs, start=1))
     return Document(doc.doc_id, doc.text, doc.entities, kept + edges)
 

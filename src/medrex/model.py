@@ -16,7 +16,7 @@ Both models share the encoder layout so cost comparisons are like for like.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,10 @@ E1_OPEN_ID, E1_CLOSE_ID, E2_OPEN_ID, E2_CLOSE_ID = 1, 2, 3, 4
 
 class ModelError(ValueError):
     """Invalid model configuration or forward-pass input."""
+
+
+# the Python types each ModelConfig annotation accepts when a config is read back from a file
+_FIELD_KINDS = {"int": (int,), "int | None": (int, type(None)), "float": (int, float)}
 
 
 @dataclass
@@ -92,6 +96,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
+        """Rebuild a saved config; an unknown key or a value of the wrong type raises ModelError naming the key."""
+        kinds = {f.name: f.type for f in fields(cls)}
+        for name, value in payload.items():
+            if name not in kinds:
+                raise ModelError(f"unknown model config key {name!r}")
+            if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[kinds[name]]):
+                raise ModelError(f"model config key {name!r} must be {kinds[name]}, got {value!r}")
         return cls(**payload)
 
 

@@ -31,17 +31,8 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def __len__(self) -> int:
-        return len(self.params)
-
     def items(self):
         return self.params.items()
-
-    def names(self) -> list[str]:
-        return list(self.params)
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite every parameter, cast to its dtype; the names and shapes must match exactly."""

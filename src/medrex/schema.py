@@ -125,22 +125,38 @@ BUILTIN_PROFILES: dict[str, SchemaProfile] = {p.name: p for p in (CORP_HUS, N2C2
 _PROFILE_KEYS = {"name", "entity_types", "relation_types", "attribute_types", "drug_types"}
 
 
+def read_key_value_file(path: str, error: type[Exception]) -> list[tuple[int, str, str]]:
+    """(line number, key, value) for each ``key = value`` line of a UTF-8 file.
+
+    Blank lines and ``#`` comments are skipped. Undecodable bytes and a line
+    without ``=`` raise ``error`` naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    entries = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        entries.append((lineno, key, value))
+    return entries
+
+
 def load_profile(path: str) -> SchemaProfile:
     """Read a custom profile from a key=value file; list values are comma separated."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _PROFILE_KEYS:
-                raise SchemaError(f"{path}:{lineno}: unknown profile key {key!r}")
-            if key in raw:
-                raise SchemaError(f"{path}:{lineno}: duplicate profile key {key!r}")
-            raw[key] = value
+    for lineno, key, value in read_key_value_file(path, SchemaError):
+        if key not in _PROFILE_KEYS:
+            raise SchemaError(f"{path}:{lineno}: unknown profile key {key!r}")
+        if key in raw:
+            raise SchemaError(f"{path}:{lineno}: duplicate profile key {key!r}")
+        raw[key] = value
     missing = _PROFILE_KEYS - raw.keys()
     if missing:
         raise SchemaError(f"{path}: missing profile keys: {', '.join(sorted(missing))}")

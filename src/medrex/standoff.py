@@ -228,16 +228,21 @@ def validate_document(doc: Document, schema: SchemaProfile) -> list[Violation]:
     return violations
 
 
+def _read_utf8(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise StandoffError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_document(txt_path: str, schema: SchemaProfile, strict: bool = True) -> Document:
     ann_path = os.path.splitext(txt_path)[0] + ".ann"
     doc_id = os.path.splitext(os.path.basename(txt_path))[0]
-    with open(txt_path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_utf8(txt_path)
     if not os.path.exists(ann_path):
         raise FileNotFoundError(f"missing annotation file for {doc_id}: {ann_path}")
-    with open(ann_path, encoding="utf-8") as fh:
-        ann = fh.read()
-    return parse_standoff(text, ann, schema, doc_id=doc_id, strict=strict)
+    return parse_standoff(text, _read_utf8(ann_path), schema, doc_id=doc_id, strict=strict)
 
 
 def read_corpus_dir(path: str, schema: SchemaProfile, strict: bool = True) -> list[Document]:

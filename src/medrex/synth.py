@@ -377,16 +377,6 @@ def generate_corpus(cfg: GenConfig) -> list[Document]:
     return [_generate_document(i, cfg, schema) for i in range(cfg.doc_count)]
 
 
-def corpus_split(corpus: list[Document], train_fraction: float, seed: int) -> tuple[list[Document], list[Document]]:
-    """Seeded shuffle, then a document-granular cut: disjoint and exhaustive."""
-    if not 0.0 < train_fraction < 1.0:
-        raise GenerationError(f"train_fraction must lie strictly inside (0, 1), got {train_fraction}")
-    order = list(corpus)
-    random.Random(seed).shuffle(order)
-    cut = int(len(order) * train_fraction)
-    return order[:cut], order[cut:]
-
-
 def write_corpus(docs: list[Document], out_dir: str, cfg: GenConfig) -> None:
     """Write .txt/.ann pairs plus a manifest (seed, config echo, stats); no volatile fields."""
     from .stats import corpus_stats

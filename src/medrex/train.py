@@ -19,11 +19,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .frames import augment_document
 from .model import (
     BaselinePairModel,
     ModelConfig,
+    ModelError,
     PairwiseREModel,
     PredictedRelation,
     masked_loss,
@@ -70,6 +71,10 @@ class TrainConfig:
             raise TrainingError("need 0 < stride_chars <= window_chars")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise TrainingError("warmup_fraction must lie in [0, 1]")
+        for name in ("peak_lr", "null_class_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise TrainingError(f"{name} must be finite and at least 0, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -89,9 +94,6 @@ class TrainResult:
     @property
     def total_seconds(self) -> float:
         return sum(self.epoch_seconds)
-
-    def losses(self) -> list[float]:
-        return [record["loss"] for record in self.run_log]
 
 
 def _prepare_segments(
@@ -265,18 +267,24 @@ def save_bundle(path: str, result: TrainResult) -> None:
 
 @ag.float32_compute()
 def load_bundle(path: str) -> InferenceBundle:
+    """Rebuild a trained bundle; a config header that cannot describe one raises CheckpointError."""
     params, config = load_checkpoint(path)
-    schema = SchemaProfile.from_dict(config["schema"])
-    model = PairwiseREModel(ModelConfig.from_dict(config["model"]))
-    model.params.load_values(params)
-    return InferenceBundle(
-        model=model,
-        vocab=Vocabulary(list(config["vocab"])),
-        class_map=RelationClassMap(schema, include_same_frame=config["include_same_frame"]),
-        schema=schema,
-        window_chars=config["window_chars"],
-        stride_chars=config["stride_chars"],
-    )
+    try:
+        schema = SchemaProfile.from_dict(config["schema"])
+        bundle = InferenceBundle(
+            model=PairwiseREModel(ModelConfig.from_dict(config["model"])),
+            vocab=Vocabulary(list(config["vocab"])),
+            class_map=RelationClassMap(schema, include_same_frame=config["include_same_frame"]),
+            schema=schema,
+            window_chars=config["window_chars"],
+            stride_chars=config["stride_chars"],
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint config has no key {exc}") from None
+    except (TypeError, ModelError) as exc:
+        raise CheckpointError(f"{path}: checkpoint config: {exc}") from None
+    bundle.model.params.load_values(params)
+    return bundle
 
 
 @dataclass

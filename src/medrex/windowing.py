@@ -146,27 +146,14 @@ def segment_corpus(
     return all_segments, report
 
 
-class LabelMap:
-    """Per-token label ids: 0 is the outside label, entity types follow sorted."""
-
-    def __init__(self, schema: SchemaProfile):
-        self.names = ["O"] + schema.entity_type_list()
-        self.index = {name: i for i, name in enumerate(self.names)}
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def id_for(self, etype: str) -> int:
-        return self.index[etype]
-
-
 def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Label id per token plus each entity's (first, last) token index span.
 
+    Label 0 is outside any entity; entity types follow in sorted order from 1.
     A token belongs to an entity when their character spans overlap; the
     entity head is its first token. Overlapping entities are rejected.
     """
-    label_map = LabelMap(schema)
+    label_ids = {etype: i for i, etype in enumerate(schema.entity_type_list(), start=1)}
     for prev, nxt in zip(segment.entities, segment.entities[1:]):
         if nxt.start < prev.end:
             raise WindowingError(f"entities {prev.id} and {nxt.id} overlap; labels are ambiguous")
@@ -182,7 +169,7 @@ def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ..
         if first is None:
             raise WindowingError(f"entity {e.id} covers no token in its segment")
         for idx in range(first, last + 1):
-            labels[idx] = label_map.id_for(e.etype)
+            labels[idx] = label_ids[e.etype]
         spans.append((first, last))
     return tuple(labels), tuple(spans)
 

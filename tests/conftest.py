@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
+from medrex import autograd as ag
 from medrex.frames import Frame, FrameSet
-from medrex.schema import CORP_HUS
+from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
 
 TOCILIZUMAB_TEXT = (
@@ -102,6 +104,36 @@ def random_frame_instance(rng: random.Random):
 
 def normalize_frameset(fs: FrameSet):
     return sorted((f.drug, tuple(sorted(f.links))) for f in fs.frames)
+
+
+def frames_to_relations(fs: FrameSet, include_same_frame: bool) -> list[Relation]:
+    """Encode frames as relations: one attribute->drug link each, plus per-frame complete SAME_FRAME graphs.
+
+    An encoder written apart from ``medrex.frames``, so decoding its output
+    checks the decoder against an independent reading of the encoding. Shared
+    attributes repeat their link and their edges once per frame.
+    """
+    triples = [(rtype, attr, frame.drug) for frame in fs.frames for attr, rtype in frame.links]
+    if include_same_frame:
+        for frame in fs.frames:
+            attrs = [attr for attr, _ in frame.links]
+            triples.extend((SAME_FRAME, a, b) for a, b in itertools.combinations(attrs, 2))
+    return [Relation(f"R{i}", *triple) for i, triple in enumerate(triples, start=1)]
+
+
+def corpus_split(corpus: list[Document], train_fraction: float, seed: int) -> tuple[list[Document], list[Document]]:
+    """Seeded shuffle, then a document-granular cut: disjoint and exhaustive."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must lie strictly inside (0, 1), got {train_fraction}")
+    order = list(corpus)
+    random.Random(seed).shuffle(order)
+    cut = int(len(order) * train_fraction)
+    return order[:cut], order[cut:]
+
+
+def total(x: ag.Tensor) -> ag.Tensor:
+    """Scalar sum of a tensor for tests, built from the ops the models use."""
+    return ag.scale(ag.reduce_mean(x), x.values.size)
 
 
 @pytest.fixture

@@ -14,16 +14,22 @@ import time
 import pytest
 
 from medrex.evaluate import evaluate, frame_exact_match
-from medrex.frames import build_frames, decode_frames, frames_to_relations
+from medrex.frames import build_frames, decode_frames
 from medrex.model import grad_check_fixture, masked_loss
 from medrex.optim import finite_diff_check
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import serialize_standoff
-from medrex.synth import GenConfig, corpus_split, generate_corpus
+from medrex.synth import GenConfig, generate_corpus
 from medrex.train import InferenceBundle, TrainConfig, cost_report, save_bundle, train
 from medrex.windowing import make_segments, ordered_entity_pairs, segment_corpus
 
-from .conftest import normalize_frameset, random_frame_instance, tocilizumab_document
+from .conftest import (
+    corpus_split,
+    frames_to_relations,
+    normalize_frameset,
+    random_frame_instance,
+    tocilizumab_document,
+)
 from .test_windowing import _oracle_segments, _oracle_unreachable, _random_doc
 
 LR = dict(peak_lr=1e-3, null_class_weight=0.3)
@@ -83,7 +89,7 @@ def test_loss_tail_converged_on_overfit_run(overfit_run):
     shuffled trainer; this asserts the stable reading of that contract.
     """
     _, _, result, _ = overfit_run
-    losses = result.losses()
+    losses = [record["loss"] for record in result.run_log]
     smoothed = [statistics.fmean(losses[i - 4:i + 1]) for i in range(4, len(losses))]
     tail = smoothed[int(0.8 * len(smoothed)):]
     quarter = max(1, len(tail) // 4)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -352,3 +353,82 @@ def test_predict_rejects_a_checkpoint_with_other_parameters(edit, message, works
     assert run_cli(["predict", "--ckpt", ckpt, "--data", workspace / "data", "--out", tmp_path / "p"]) == 6
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "config" and message in error["message"]
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header edited in place; the payloads stay as they are."""
+    blob = src.read_bytes()
+    (length,) = struct.unpack("<Q", blob[1:9])
+    header = json.loads(blob[9:9 + length])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    dst.write_bytes(blob[:1] + struct.pack("<Q", len(raw)) + raw + blob[9 + length:])
+
+
+def _drop_params(header):
+    del header["params"]
+
+
+def _drop_vocab(header):
+    del header["config"]["vocab"]
+
+
+def _add_model_key(header):
+    header["config"]["model"]["stray_width"] = 3
+
+
+def _string_d_model(header):
+    header["config"]["model"]["d_model"] = "16"
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_drop_params, "'params'"),
+    (_drop_vocab, "'vocab'"),
+    (_add_model_key, "'stray_width'"),
+    (_string_d_model, "'d_model'"),
+])
+def test_predict_rejects_a_hand_edited_checkpoint_header(edit, key, workspace, tmp_path, capsys):
+    ckpt = tmp_path / "edited.ckpt"
+    _rewrite_header(workspace / "ckpt" / "model.ckpt", ckpt, edit)
+    assert run_cli(["predict", "--ckpt", ckpt, "--data", workspace / "data", "--out", tmp_path / "p"]) == 6
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and key in error["message"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "-1"),
+    ("--lr", "nan"),
+    ("--null-weight", "-1"),
+])
+def test_train_rejects_bad_values_before_training(flag, value, workspace, tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run_cli(["train", "--data", workspace / "data", "--out", out, flag, value, *TINY_MODEL_FLAGS]) == 3
+    error = json.loads(capsys.readouterr().err)
+    name = {"--lr": "peak_lr", "--null-weight": "null_class_weight"}[flag]
+    assert error["error"] == "validation" and name in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, culprit, code, label", [
+    ("train --data {file} --out {tmp}/t", "a-file", 4, "wrong-path-kind"),
+    ("end-to-end --data {file} --gold {data} --ckpt {ckpt} --out {tmp}/e", "a-file", 4, "wrong-path-kind"),
+    ("train --data {data} --out {tmp}/t --config {dir}", "a-dir", 4, "wrong-path-kind"),
+    ("stats --data {data} --schema {dir}", "a-dir", 4, "wrong-path-kind"),
+    ("predict --data {data} --ckpt {ckpt} --out {file}", "a-file", 4, "wrong-path-kind"),
+    ("train --data {data} --out {tmp}/t --config {latin1}", "latin1.txt", 6, "config"),
+    ("stats --data {data} --schema {latin1}", "latin1.txt", 6, "config"),
+    ("stats --data {latin1_corpus}", "doc0000.txt", 3, "validation"),
+])
+def test_unusable_paths_exit_with_their_code_naming_the_path(argv, culprit, code, label, workspace, tmp_path, capsys):
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("not a directory\n", encoding="utf-8")
+    (tmp_path / "latin1.txt").write_bytes("name = caf\xe9\n".encode("latin-1"))
+    shutil.copytree(workspace / "data", tmp_path / "corpus")
+    with open(tmp_path / "corpus" / "doc0000.txt", "ab") as fh:
+        fh.write(b"\xff")
+    paths = dict(file=tmp_path / "a-file", dir=tmp_path / "a-dir", latin1=tmp_path / "latin1.txt",
+                 latin1_corpus=tmp_path / "corpus", tmp=tmp_path,
+                 data=workspace / "data", ckpt=workspace / "ckpt" / "model.ckpt")
+    assert run_cli([token.format(**paths) for token in argv.split()]) == code
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == label and culprit in error["message"]

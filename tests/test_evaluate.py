@@ -58,15 +58,18 @@ def test_empty_predictions_convention():
     assert "undefined" in format_report(report)
 
 
-def test_same_frame_excluded_from_scoring_by_default():
+def test_same_frame_never_scored():
     doc = tocilizumab_document()
-    preds = {doc.doc_id: _gold_predictions(doc)}
-    report = evaluate([doc], preds, STRICT, CORP_HUS)
-    assert report.row_for(SAME_FRAME) is None
+    by_id = doc.entity_index()
+    same_frame = [
+        PredictedRelation(r.rtype, by_id[r.source], by_id[r.target], 1.0)
+        for r in doc.relations if r.rtype == SAME_FRAME
+    ]
+    assert same_frame  # the gold document carries SAME_FRAME edges, and they are predicted too
+    report = evaluate([doc], {doc.doc_id: _gold_predictions(doc) + same_frame}, STRICT, CORP_HUS)
+    assert SAME_FRAME not in {row.rtype for row in report.rows}
     assert report.micro.support == 6
-    with_sf = evaluate([doc], preds, STRICT, CORP_HUS, include_same_frame=True)
-    assert with_sf.row_for(SAME_FRAME) is not None
-    assert with_sf.row_for(SAME_FRAME).recall == 0.0
+    assert report.micro.tp == 6 and report.micro.fp == 0
 
 
 def test_lenient_accepts_overlap_strict_does_not():
@@ -217,8 +220,9 @@ def test_micro_pools_counts_across_types():
     report = evaluate([d1], preds, STRICT, CORP_HUS)
     assert report.micro.tp == 1 and report.micro.fp == 1 and report.micro.fn == 1
     assert report.micro.precision == 0.5 and report.micro.recall == 0.5
-    assert report.row_for("Stop").undefined_precision is False
-    assert report.row_for("Start").undefined_precision is True
+    rows = {row.rtype: row for row in report.rows}
+    assert rows["Stop"].undefined_precision is False
+    assert rows["Start"].undefined_precision is True
 
 
 def test_frame_exact_match_gold_and_degraded(corp_hus):

@@ -7,7 +7,6 @@ from medrex.frames import (
     build_frames,
     decode_frames,
     frames_to_jsonl,
-    frames_to_relations,
     with_same_frame,
 )
 from medrex.schema import SAME_FRAME
@@ -15,6 +14,7 @@ from medrex.standoff import Document, Entity, Relation
 
 from .conftest import (
     TOCILIZUMAB_FRAME_MEMBERS,
+    frames_to_relations,
     normalize_frameset,
     random_frame_instance,
     tocilizumab_document,

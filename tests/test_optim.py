@@ -4,6 +4,8 @@ import pytest
 from medrex import autograd as ag
 from medrex.optim import LrSchedule, ParamStore, adam_step, finite_diff_check, lr_at
 
+from .conftest import total
+
 
 def test_adam_zero_gradient_is_fixed_point():
     store = ParamStore()
@@ -39,7 +41,7 @@ def test_adam_quadratic_loss_decreases_after_warmup():
     losses = []
     for step in range(100):
         diff = ag.add(w, ag.Tensor(-target))
-        loss = ag.reduce_sum(ag.mul(diff, diff))
+        loss = total(ag.mul(diff, diff))
         losses.append(loss.item())
         ag.backward(loss)
         adam_step(store, lr=lr_at(schedule, step))
@@ -54,7 +56,7 @@ def test_adam_deterministic_trajectory():
         w = store.add("w", rng.standard_normal(8))
         snapshots = []
         for step in range(20):
-            loss = ag.reduce_sum(ag.mul(w, w))
+            loss = total(ag.mul(w, w))
             ag.backward(loss)
             adam_step(store, lr=0.01)
             snapshots.append(w.values.tobytes())
@@ -89,7 +91,7 @@ def test_finite_diff_check_quadratic():
     store = ParamStore()
     rng = np.random.default_rng(0)
     w = store.add("w", rng.standard_normal(10))
-    result = finite_diff_check(lambda: ag.reduce_sum(ag.mul(w, w)), store, samples_per_param=10)
+    result = finite_diff_check(lambda: total(ag.mul(w, w)), store, samples_per_param=10)
     assert result.max_rel_error < 1e-8
 
 
@@ -145,7 +147,7 @@ def test_finite_diff_check_refuses_float32():
         w = store.add("w", np.array([1.0, 2.0]))
         assert w.values.dtype == np.float32
         with pytest.raises(ValueError, match="float64"):
-            finite_diff_check(lambda: ag.reduce_sum(ag.mul(w, w)), store, samples_per_param=2)
+            finite_diff_check(lambda: total(ag.mul(w, w)), store, samples_per_param=2)
     with pytest.raises(ValueError, match="float64"):
-        finite_diff_check(lambda: ag.reduce_sum(ag.mul(w, w)), store, samples_per_param=2)
+        finite_diff_check(lambda: total(ag.mul(w, w)), store, samples_per_param=2)
 

@@ -1,12 +1,12 @@
 import pytest
 
-from medrex.frames import build_frames, decode_frames, frames_to_relations
+from medrex.frames import build_frames, decode_frames
 from medrex.schema import CORP_HUS, SAME_FRAME, resolve_profile
 from medrex.standoff import read_corpus_dir, serialize_standoff, validate_document
 from medrex.stats import corpus_stats
-from medrex.synth import GenConfig, GenerationError, corpus_split, generate_corpus, write_corpus
+from medrex.synth import GenConfig, GenerationError, generate_corpus, write_corpus
 
-from .conftest import normalize_frameset
+from .conftest import corpus_split, frames_to_relations, normalize_frameset
 
 
 def test_empty_corpus():
@@ -89,7 +89,7 @@ def test_corpus_split_identities():
     assert not {d.doc_id for d in train} & {d.doc_id for d in test}
     train2, test2 = corpus_split(docs, 0.5, seed=4)
     assert [d.doc_id for d in train2] == [d.doc_id for d in train]
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValueError):
         corpus_split(docs, 1.0, seed=0)
 
 

@@ -220,7 +220,7 @@ def test_one_train_step_is_float32_throughout(monkeypatch):
     store = result.model.params
     assert len(result.run_log) == 1
     assert {p.values.dtype for _, p in store.items()} == {np.dtype(np.float32)}
-    assert len(grads) == len(store) and set(grads.values()) == {np.dtype(np.float32)}
+    assert len(grads) == len(store.params) and set(grads.values()) == {np.dtype(np.float32)}
     moments = list(store._m.values()) + list(store._v.values())
     assert {m.dtype for m in moments} == {np.dtype(np.float32)}
     assert {"matmul", "dropout", "cross_entropy", "mean"} <= {op for op, _ in nodes}

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
 from medrex.windowing import (
-    LabelMap,
     RelationClassMap,
     Segment,
     Vocabulary,
@@ -117,8 +116,8 @@ def test_align_labels_basic():
     doc = _doc_with(text, [("Drug", 0, 11), ("Route", 12, 14)])
     seg = make_segments(doc, 300, 150)[0]
     labels, spans = align_labels(seg, CORP_HUS)
-    label_map = LabelMap(CORP_HUS)
-    assert labels == (label_map.id_for("Drug"), label_map.id_for("Route"))
+    # 0 is outside; CORP_HUS types in sorted order from 1: ..., Drug 5, ..., Route 10
+    assert labels == (5, 10)
     assert spans == ((0, 0), (1, 1))
 
 
@@ -127,7 +126,7 @@ def test_align_labels_multi_token_entity():
     doc = _doc_with(text, [("Frequency", 0, 13), ("Date", 19, 23)])
     seg = make_segments(doc, 300, 150)[0]
     labels, spans = align_labels(seg, CORP_HUS)
-    freq_id = LabelMap(CORP_HUS).id_for("Frequency")
+    freq_id = 8  # CORP_HUS types in sorted order from 1
     assert labels[:3] == (freq_id, freq_id, freq_id)
     assert labels[3] == 0  # "from" stays outside
     assert spans[0] == (0, 2)
