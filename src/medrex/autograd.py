@@ -12,8 +12,11 @@ inputs. ``backward`` walks the recorded graph once in reverse topological
 order, accumulating (+=) into ``.grad`` buffers, then frees the graph.
 
 The op set is intentionally small: exactly what the relation-extraction
-models need. No views, no in-place arithmetic on recorded tensors, no
-broadcasting rules beyond numpy's.
+models need, with two fused ops where a layer is hot (``linear`` for
+``x @ w + b``, ``pair_linear`` for the factorised pair layer). No views, no
+in-place arithmetic on recorded tensors, no broadcasting rules beyond
+numpy's. Row gathers scatter their gradient back with a sort and
+``np.add.reduceat``, never ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -208,22 +211,118 @@ def concat(parts: list[Tensor]) -> Tensor:
     return _node(values, tuple(parts), backprop, "concat")
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for 2-d ``x`` as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.values.ndim != 2 or w.values.ndim != 2 or b.values.shape != w.values.shape[1:]:
+        raise ShapeError(
+            f"op 'linear': need [n, k] @ [k, m] + [m], got {x.values.shape}, {w.values.shape}, {b.values.shape}"
+        )
+    if x.values.shape[1] != w.values.shape[0]:
+        raise ShapeError(f"op 'linear': inner dimensions disagree for {x.values.shape} @ {w.values.shape}")
+    values = x.values @ w.values + b.values
+
+    def backprop(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.values.T)
+        if w.requires_grad:
+            _accumulate(w, x.values.T @ g)
+        _accumulate(b, g.sum(axis=0))
+
+    return _node(values, (x, w, b), backprop, "linear")
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum row r of ``g`` into row ``idx[r]`` of an [n_rows, ...] zero array.
+
+    The gradient of a row gather. Distinct indices are a plain assignment;
+    otherwise a stable sort groups equal indices and ``np.add.reduceat`` sums
+    each group in its original row order, so the result is deterministic.
+    """
+    out = np.zeros((n_rows,) + g.shape[1:], dtype=g.dtype)
+    if idx.size == 0:
+        return out
+    order = np.argsort(idx, kind="stable")
+    ordered = idx[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    if starts.size == idx.size:
+        out[idx] = g
+    else:
+        out[ordered[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
+def _check_rows(op: str, idx: np.ndarray, n_rows: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"op '{op}': index out of range for {n_rows} rows")
+
+
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows of a 2-d tensor; duplicates allowed, gradients scatter-add."""
     idx = np.asarray(indices, dtype=np.intp)
     if x.values.ndim != 2:
         raise ShapeError(f"op 'gather_rows': expected 2-d tensor, got {x.values.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.values.shape[0]):
-        raise IndexError(f"op 'gather_rows': index out of range for {x.values.shape[0]} rows")
+    _check_rows("gather_rows", idx, x.values.shape[0])
     values = x.values[idx]
 
     def backprop(g):
         if x.requires_grad:
-            buf = np.zeros_like(x.values)
-            np.add.at(buf, idx, g)
-            _accumulate(x, buf)
+            _accumulate(x, _scatter_rows(g, idx, x.values.shape[0]))
 
     return _node(values, (x,), backprop, "gather_rows")
+
+
+def pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx) -> Tensor:
+    """``[x[i]; x[j]; rel[r]] @ w + b`` for each pair row (i, j, r), without building those rows.
+
+    ``w``'s rows split into the blocks (W_i, W_j, W_r) that multiply the three
+    parts, so row k is ``A[i_k] + B[j_k] + P[r_k]`` with ``A = x·W_i`` and
+    ``B = x·W_j`` over the distinct rows of x that the pairs use, and
+    ``P = rel·W_r + b`` over the distinct rows of rel. The backward scatters
+    the output gradient into A, B and P and applies the same blocks.
+    """
+    x, rel, w, b = as_tensor(x), as_tensor(rel), as_tensor(w), as_tensor(b)
+    i_idx, j_idx, rel_idx = (np.asarray(a, dtype=np.intp) for a in (i_idx, j_idx, rel_idx))
+    if x.values.ndim != 2 or rel.values.ndim != 2 or w.values.ndim != 2:
+        raise ShapeError(
+            f"op 'pair_linear': x, rel and w must be 2-d, got {x.values.shape}, {rel.values.shape}, {w.values.shape}"
+        )
+    width = x.values.shape[1]
+    if w.values.shape[0] != 2 * width + rel.values.shape[1] or b.values.shape != w.values.shape[1:]:
+        raise ShapeError(
+            f"op 'pair_linear': w {w.values.shape} and b {b.values.shape} do not fit "
+            f"pair rows of width 2 * {width} + {rel.values.shape[1]}"
+        )
+    if not i_idx.shape == j_idx.shape == rel_idx.shape or i_idx.ndim != 1:
+        raise ShapeError(f"op 'pair_linear': index arrays differ, {i_idx.shape}, {j_idx.shape}, {rel_idx.shape}")
+    ends = np.concatenate([i_idx, j_idx])
+    _check_rows("pair_linear", ends, x.values.shape[0])
+    _check_rows("pair_linear", rel_idx, rel.values.shape[0])
+    rows, inverse = np.unique(ends, return_inverse=True)
+    ia, ib = inverse[:i_idx.size], inverse[i_idx.size:]
+    rel_rows, ir = np.unique(rel_idx, return_inverse=True)
+    w_i, w_j, w_r = w.values[:width], w.values[width:2 * width], w.values[2 * width:]
+    h, e = x.values[rows], rel.values[rel_rows]
+    a_tab, b_tab, p_tab = h @ w_i, h @ w_j, e @ w_r + b.values
+    values = a_tab[ia] + b_tab[ib] + p_tab[ir]
+
+    def backprop(g):
+        g_a = _scatter_rows(g, ia, rows.size)
+        g_b = _scatter_rows(g, ib, rows.size)
+        g_p = _scatter_rows(g, ir, rel_rows.size)
+        if x.requires_grad:
+            gx = np.zeros_like(x.values)
+            gx[rows] = g_a @ w_i.T + g_b @ w_j.T
+            _accumulate(x, gx)
+        if rel.requires_grad:
+            grel = np.zeros_like(rel.values)
+            grel[rel_rows] = g_p @ w_r.T
+            _accumulate(rel, grel)
+        if w.requires_grad:
+            _accumulate(w, np.concatenate([h.T @ g_a, h.T @ g_b, e.T @ g_p]))
+        _accumulate(b, g.sum(axis=0))
+
+    return _node(values, (x, rel, w, b), backprop, "pair_linear")
 
 
 def row_softmax(x: Tensor) -> Tensor:

@@ -44,6 +44,19 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray], config: dict) -> N
         raise
 
 
+def _check_entries(entries) -> None:
+    if not isinstance(entries, list):
+        raise CheckpointError(f"checkpoint header key 'params' must be a list, got {type(entries).__name__}")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointError(f"checkpoint header 'params' entry {k} has no string 'name'")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(
+                f"checkpoint header 'params' entry {k} ({entry['name']!r}) has no 'shape' list of non-negative integers"
+            )
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -63,6 +76,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if missing:
         raise CheckpointError(f"checkpoint header has no key {', '.join(map(repr, missing))}")
 
+    _check_entries(header["params"])
     params: dict[str, np.ndarray] = {}
     offset = header_end
     for entry in header["params"]:

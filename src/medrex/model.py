@@ -8,6 +8,13 @@ and each head pair is classified from (u_i, u_j, relative-position
 embedding) through one hidden dense layer. The loss touches only entity-head
 pairs; pairs over other tokens are never materialised.
 
+The pair head never builds the [u_i; u_j; r(j - i)] feature rows. Its first
+layer is linear, so ``pair.fc1.w`` splits into the row blocks that multiply
+u_i, u_j and r: each head row and each distance row is projected once, and a
+pair's pre-activation is the sum of three projected rows (``ag.pair_linear``,
+the table-filling factorisation of biaffine scorers). The blocks are sliced
+at compute time, so the checkpoint layout is that of the concatenated form.
+
 ``BaselinePairModel`` is the per-pair comparison system: it re-encodes the
 segment once per candidate pair with four marker tokens wrapped around the
 two entities, pools the marker positions, and classifies the pooled vector.
@@ -133,9 +140,9 @@ def _self_attention(
 ) -> ag.Tensor:
     seq, width = x.shape
     head_dim = width // heads
-    q = ag.add(ag.matmul(x, store[f"{name}.wq"]), store[f"{name}.bq"])
-    k = ag.add(ag.matmul(x, store[f"{name}.wk"]), store[f"{name}.bk"])
-    v = ag.add(ag.matmul(x, store[f"{name}.wv"]), store[f"{name}.bv"])
+    q = ag.linear(x, store[f"{name}.wq"], store[f"{name}.bq"])
+    k = ag.linear(x, store[f"{name}.wk"], store[f"{name}.bk"])
+    v = ag.linear(x, store[f"{name}.wv"], store[f"{name}.bv"])
     qh = ag.transpose(ag.reshape(q, (seq, heads, head_dim)), (1, 0, 2))
     kh = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 0, 2))
     vh = ag.transpose(ag.reshape(v, (seq, heads, head_dim)), (1, 0, 2))
@@ -143,7 +150,7 @@ def _self_attention(
     weights = ag.dropout(ag.row_softmax(scores), dropout_p, rng, train)
     mixed = ag.matmul(weights, vh)
     merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (seq, width))
-    return ag.add(ag.matmul(merged, store[f"{name}.wo"]), store[f"{name}.bo"])
+    return ag.linear(merged, store[f"{name}.wo"], store[f"{name}.bo"])
 
 
 class TokenEncoder:
@@ -185,8 +192,8 @@ class TokenEncoder:
                 ag.add(x, ag.dropout(attn, p, dropout_rng, train)),
                 store[f"enc{layer}.ln1.gain"], store[f"enc{layer}.ln1.bias"],
             )
-            hidden = ag.gelu(ag.add(ag.matmul(x, store[f"enc{layer}.ffn.fc1.w"]), store[f"enc{layer}.ffn.fc1.b"]))
-            ffn = ag.add(ag.matmul(hidden, store[f"enc{layer}.ffn.fc2.w"]), store[f"enc{layer}.ffn.fc2.b"])
+            hidden = ag.gelu(ag.linear(x, store[f"enc{layer}.ffn.fc1.w"], store[f"enc{layer}.ffn.fc1.b"]))
+            ffn = ag.linear(hidden, store[f"enc{layer}.ffn.fc2.w"], store[f"enc{layer}.ffn.fc2.b"])
             x = ag.layer_norm(
                 ag.add(x, ag.dropout(ffn, p, dropout_rng, train)),
                 store[f"enc{layer}.ln2.gain"], store[f"enc{layer}.ln2.bias"],
@@ -242,14 +249,11 @@ class PairwiseREModel:
                 raise ModelError("pairs must combine two distinct token positions")
         i_idx, j_idx = pair_array[:, 0], pair_array[:, 1]
         distance = np.clip(j_idx - i_idx, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
-        features = ag.concat([
-            ag.gather_rows(fused, i_idx),
-            ag.gather_rows(fused, j_idx),
-            ag.gather_rows(store["relpos_emb"], distance),
-        ])
-        hidden = ag.gelu(ag.add(ag.matmul(features, store["pair.fc1.w"]), store["pair.fc1.b"]))
+        hidden = ag.gelu(ag.pair_linear(
+            fused, store["relpos_emb"], store["pair.fc1.w"], store["pair.fc1.b"], i_idx, j_idx, distance,
+        ))
         hidden = ag.dropout(hidden, cfg.dropout, self.dropout_rng, train)
-        return ag.add(ag.matmul(hidden, store["pair.fc2.w"]), store["pair.fc2.b"])
+        return ag.linear(hidden, store["pair.fc2.w"], store["pair.fc2.b"])
 
     def forward(self, segment: EncodedSegment, train: bool = False) -> ag.Tensor:
         """Logits for every ordered entity-head pair, aligned with segment.targets."""
@@ -340,7 +344,7 @@ class BaselinePairModel:
         )
         encoded = self.encoder.encode(ids, self.dropout_rng, train)
         pooled = ag.matmul(self._pool, ag.gather_rows(encoded, positions))
-        return ag.add(ag.matmul(pooled, self.params["clf.w"]), self.params["clf.b"])
+        return ag.linear(pooled, self.params["clf.w"], self.params["clf.b"])
 
 
 @dataclass(frozen=True)
@@ -390,12 +394,12 @@ def predict_relations(
         with ag.no_grad():
             logits = model.forward(encoded, train=False)
         probs = _softmax_rows(logits.values)
-        for row, (a, b) in enumerate(ordered_entity_pairs(len(encoded.entities))):
-            class_id = int(np.argmax(probs[row]))
-            if class_id == 0:
-                continue
+        class_ids, top = probs.argmax(axis=1), probs.max(axis=1)
+        pairs = ordered_entity_pairs(len(encoded.entities))
+        for row in np.flatnonzero(class_ids).tolist():
+            a, b = pairs[row]
             key = (encoded.entities[a].id, encoded.entities[b].id)
-            prob = float(probs[row, class_id])
+            class_id, prob = int(class_ids[row]), float(top[row])
             if key not in best or prob > best[key][0]:
                 best[key] = (prob, class_map.name_for(class_id))
     predictions = [

@@ -24,7 +24,6 @@ from .frames import augment_document
 from .model import (
     BaselinePairModel,
     ModelConfig,
-    ModelError,
     PairwiseREModel,
     PredictedRelation,
     masked_loss,
@@ -34,6 +33,7 @@ from .optim import LrSchedule, adam_step, lr_at
 from .schema import SchemaProfile
 from .standoff import Document, Entity, validate_document
 from .windowing import (
+    SPECIAL_TOKENS,
     EncodedSegment,
     RelationClassMap,
     Vocabulary,
@@ -265,23 +265,39 @@ def save_bundle(path: str, result: TrainResult) -> None:
     save_checkpoint(path, {name: p.values for name, p in result.model.params.items()}, config)
 
 
+def _header_values(config: dict) -> tuple[Vocabulary, int, int]:
+    """A checkpoint config's vocabulary and window settings; a bad value raises ValueError naming its key."""
+    tokens = config["vocab"]
+    if (not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens)
+            or tuple(tokens[:len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS):
+        raise ValueError(f"key 'vocab' must be a list of strings starting with the reserved tokens {SPECIAL_TOKENS}")
+    window, stride = config["window_chars"], config["stride_chars"]
+    for key, value in (("window_chars", window), ("stride_chars", stride)):
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            raise ValueError(f"key {key!r} must be a positive integer, got {value!r}")
+    if stride > window:
+        raise ValueError(f"key 'stride_chars' ({stride}) exceeds 'window_chars' ({window})")
+    return Vocabulary(tokens), window, stride
+
+
 @ag.float32_compute()
 def load_bundle(path: str) -> InferenceBundle:
     """Rebuild a trained bundle; a config header that cannot describe one raises CheckpointError."""
     params, config = load_checkpoint(path)
     try:
         schema = SchemaProfile.from_dict(config["schema"])
+        vocab, window_chars, stride_chars = _header_values(config)
         bundle = InferenceBundle(
             model=PairwiseREModel(ModelConfig.from_dict(config["model"])),
-            vocab=Vocabulary(list(config["vocab"])),
+            vocab=vocab,
             class_map=RelationClassMap(schema, include_same_frame=config["include_same_frame"]),
             schema=schema,
-            window_chars=config["window_chars"],
-            stride_chars=config["stride_chars"],
+            window_chars=window_chars,
+            stride_chars=stride_chars,
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint config has no key {exc}") from None
-    except (TypeError, ModelError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: checkpoint config: {exc}") from None
     bundle.model.params.load_values(params)
     return bundle

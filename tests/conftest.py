@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from medrex import autograd as ag
@@ -134,6 +135,24 @@ def corpus_split(corpus: list[Document], train_fraction: float, seed: int) -> tu
 def total(x: ag.Tensor) -> ag.Tensor:
     """Scalar sum of a tensor for tests, built from the ops the models use."""
     return ag.scale(ag.reduce_mean(x), x.values.size)
+
+
+def concat_pair_logits(model, fused: ag.Tensor, pairs) -> ag.Tensor:
+    """The pair head in its unfactorised form: one [u_i; u_j; r(j - i)] feature row per pair, then fc1.
+
+    The oracle for ``PairwiseREModel.pair_logits`` (no dropout).
+    """
+    cfg, store = model.config, model.params
+    pair_array = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    i_idx, j_idx = pair_array[:, 0], pair_array[:, 1]
+    distance = np.clip(j_idx - i_idx, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
+    features = ag.concat([
+        ag.gather_rows(fused, i_idx),
+        ag.gather_rows(fused, j_idx),
+        ag.gather_rows(store["relpos_emb"], distance),
+    ])
+    hidden = ag.gelu(ag.add(ag.matmul(features, store["pair.fc1.w"]), store["pair.fc1.b"]))
+    return ag.add(ag.matmul(hidden, store["pair.fc2.w"]), store["pair.fc2.b"])
 
 
 @pytest.fixture

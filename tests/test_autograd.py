@@ -123,6 +123,97 @@ def test_gather_rows_gradcheck():
     _check_op(lambda: total(ag.mul(ag.gather_rows(table, idx), ag.gather_rows(table, idx))), {"t": table})
 
 
+def test_gather_rows_gradcheck_with_unsorted_repeated_indices():
+    rng = np.random.default_rng(15)
+    table = _param(rng, (7, 3))
+    idx = [4, 1, 4, 4, 0, 1, 6, 4]
+    w = ag.Tensor(rng.standard_normal((len(idx), 3)))
+    _check_op(lambda: total(ag.mul(ag.gather_rows(table, idx), w)), {"t": table})
+
+
+def test_linear_gradcheck():
+    rng = np.random.default_rng(16)
+    x, w, b = _param(rng, (4, 6)), _param(rng, (6, 3)), _param(rng, (3,))
+    _check_op(lambda: total(ag.mul(ag.linear(x, w, b), ag.linear(x, w, b))), {"x": x, "w": w, "b": b})
+
+
+def test_linear_equals_matmul_plus_add_bit_for_bit():
+    rng = np.random.default_rng(17)
+    arrays = [rng.standard_normal(shape) for shape in ((5, 4), (4, 3), (3,))]
+    weights = ag.Tensor(rng.standard_normal((5, 3)))
+    results = []
+    for fused in (True, False):
+        x, w, b = (ag.Tensor(a, requires_grad=True) for a in arrays)
+        out = ag.linear(x, w, b) if fused else ag.add(ag.matmul(x, w), b)
+        ag.backward(total(ag.mul(out, weights)))
+        results.append([out.values, x.grad, w.grad, b.grad])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ag.ShapeError, match="linear"):
+        ag.linear(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((4, 5))), ag.Tensor(np.ones(5)))
+    with pytest.raises(ag.ShapeError, match="linear"):
+        ag.linear(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((3, 5))), ag.Tensor(np.ones(4)))
+
+
+def _pair_inputs(rng):
+    x, rel = _param(rng, (6, 3)), _param(rng, (9, 2))
+    w, b = _param(rng, (2 * 3 + 2, 4)), _param(rng, (4,))
+    # repeated pairs, a reversed pair and a shared distance row
+    i_idx, j_idx, rel_idx = [0, 2, 2, 5, 0, 3], [2, 0, 0, 1, 2, 5], [6, 2, 2, 0, 6, 6]
+    return x, rel, w, b, i_idx, j_idx, rel_idx
+
+
+def test_pair_linear_equals_concat_then_linear():
+    x, rel, w, b, i_idx, j_idx, rel_idx = _pair_inputs(np.random.default_rng(18))
+    features = ag.concat([ag.gather_rows(x, i_idx), ag.gather_rows(x, j_idx), ag.gather_rows(rel, rel_idx)])
+    want = ag.linear(features, w, b).values
+    got = ag.pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    empty = ag.pair_linear(x, rel, w, b, [], [], [])
+    assert empty.shape == (0, 4)
+
+
+def test_pair_linear_gradcheck_with_repeated_pairs():
+    rng = np.random.default_rng(19)
+    x, rel, w, b, i_idx, j_idx, rel_idx = _pair_inputs(rng)
+    weights = ag.Tensor(rng.standard_normal((len(i_idx), 4)))
+    _check_op(
+        lambda: total(ag.mul(ag.gelu(ag.pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx)), weights)),
+        {"x": x, "rel": rel, "w": w, "b": b},
+    )
+
+
+def test_pair_linear_rejects_bad_shapes_and_indices():
+    x, rel, w, b, i_idx, j_idx, rel_idx = _pair_inputs(np.random.default_rng(20))
+    with pytest.raises(ag.ShapeError, match="pair_linear"):
+        ag.pair_linear(x, rel, ag.Tensor(np.ones((7, 4))), b, i_idx, j_idx, rel_idx)
+    with pytest.raises(ag.ShapeError, match="pair_linear"):
+        ag.pair_linear(x, rel, w, b, i_idx, j_idx[:-1], rel_idx)
+    with pytest.raises(IndexError, match="pair_linear"):
+        ag.pair_linear(x, rel, w, b, [0, 6], [1, 2], [0, 0])
+    with pytest.raises(IndexError, match="pair_linear"):
+        ag.pair_linear(x, rel, w, b, [0, 1], [1, 2], [0, 9])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.lists(st.integers(0, 11), max_size=40),
+    st.integers(0, 10_000),
+)
+def test_row_scatter_matches_add_at(n_rows, raw_idx, seed):
+    idx = np.asarray([i % n_rows for i in raw_idx], dtype=np.intp)
+    g = np.random.default_rng(seed).standard_normal((idx.size, 3))
+    want = np.zeros((n_rows, 3))
+    np.add.at(want, idx, g)
+    got = ag._scatter_rows(g, idx, n_rows)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(got, ag._scatter_rows(g, idx, n_rows))
+
+
 def test_softmax_gradcheck():
     rng = np.random.default_rng(7)
     x = _param(rng, (4, 5))

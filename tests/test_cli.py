@@ -381,11 +381,46 @@ def _string_d_model(header):
     header["config"]["model"]["d_model"] = "16"
 
 
+def _vocab_without_reserved_tokens(header):
+    header["config"]["vocab"] = header["config"]["vocab"][5:]
+
+
+def _string_window(header):
+    header["config"]["window_chars"] = str(header["config"]["window_chars"])
+
+
+def _zero_stride(header):
+    header["config"]["stride_chars"] = 0
+
+
+def _stride_over_window(header):
+    header["config"]["stride_chars"] = header["config"]["window_chars"] + 1
+
+
+def _params_as_mapping(header):
+    header["params"] = {entry["name"]: entry["shape"] for entry in header["params"]}
+
+
+def _entry_without_name(header):
+    del header["params"][0]["name"]
+
+
+def _entry_without_shape(header):
+    del header["params"][0]["shape"]
+
+
 @pytest.mark.parametrize("edit, key", [
     (_drop_params, "'params'"),
     (_drop_vocab, "'vocab'"),
     (_add_model_key, "'stray_width'"),
     (_string_d_model, "'d_model'"),
+    (_vocab_without_reserved_tokens, "'vocab'"),
+    (_string_window, "'window_chars'"),
+    (_zero_stride, "'stride_chars'"),
+    (_stride_over_window, "'stride_chars'"),
+    (_params_as_mapping, "'params'"),
+    (_entry_without_name, "'name'"),
+    (_entry_without_shape, "'shape'"),
 ])
 def test_predict_rejects_a_hand_edited_checkpoint_header(edit, key, workspace, tmp_path, capsys):
     ckpt = tmp_path / "edited.ckpt"

@@ -10,13 +10,17 @@ from medrex.model import (
     ModelConfig,
     ModelError,
     PairwiseREModel,
+    grad_check_fixture,
     masked_loss,
     predict_relations,
 )
 from medrex.optim import finite_diff_check
 from medrex.schema import CORP_HUS
 from medrex.standoff import Document, Entity, Relation
-from medrex.windowing import PairTarget, RelationClassMap, Vocabulary
+from medrex.synth import GenConfig, generate_corpus
+from medrex.windowing import PairTarget, RelationClassMap, Vocabulary, encode_segment, segment_corpus
+
+from .conftest import concat_pair_logits
 
 
 def _config(**overrides):
@@ -122,6 +126,61 @@ def test_relative_distance_clipping_boundary():
     neg_beyond = model.pair_logits(fused, [(66, 0)]).values
     np.testing.assert_array_equal(neg_at_limit, neg_beyond)
     assert not np.allclose(at_limit, neg_at_limit)
+
+
+def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    assert got.shape == want.shape
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def test_pair_head_matches_the_concat_form_on_the_grad_check_fixture():
+    model, segment = grad_check_fixture(d_model=16, seq=12, n_entities=4, seed=0)
+    pairs = [(t.i, t.j) for t in segment.targets]
+    weights = ag.Tensor(np.random.default_rng(1).standard_normal((len(pairs), model.config.num_classes)))
+    grads = []
+    for head in (model.pair_logits, lambda fused, p: concat_pair_logits(model, fused, p)):
+        for _, p in model.params.items():
+            p.grad = None
+        fused = model.fuse_and_attend(model.encode_tokens(segment.token_ids), segment.label_ids)
+        logits = head(fused, pairs)
+        ag.backward(ag.reduce_mean(ag.mul(logits, weights)))
+        grads.append((logits.values, {name: p.grad.copy() for name, p in model.params.items()}))
+    (got, got_grads), (want, want_grads) = grads
+    assert _relative_gap(got, want) < 1e-12
+    # relative to the largest gradient entry: some gradients (the key biases) are zero up to rounding
+    scale = max(np.abs(grad).max() for grad in want_grads.values())
+    for name, grad in want_grads.items():
+        assert np.abs(got_grads[name] - grad).max() < 1e-12 * scale, name
+
+
+def test_pair_head_matches_the_concat_form_on_a_train_wide_segment():
+    gen = GenConfig(seed=7, doc_count=50)
+    docs, schema = generate_corpus(gen), gen.schema()
+    vocab, class_map = Vocabulary.build(docs), RelationClassMap(schema)
+    segments, _ = segment_corpus(docs, 1000, 500)
+    widest = max(segments, key=lambda seg: len(seg.entities))
+    relations = {d.doc_id: d.relations for d in docs}[widest.doc_id]
+    encoded = encode_segment(widest, vocab, schema, relations, class_map)
+    model = PairwiseREModel(ModelConfig(
+        vocab_size=len(vocab), num_entity_types=len(schema.entity_types), num_classes=len(class_map),
+        max_positions=len(encoded.token_ids), dropout=0.0,
+    ))
+    with ag.no_grad():
+        fused = model.fuse_and_attend(model.encode_tokens(encoded.token_ids), encoded.label_ids)
+        pairs = [(t.i, t.j) for t in encoded.targets]
+        assert len(pairs) >= 500
+        assert _relative_gap(model.pair_logits(fused, pairs).values,
+                             concat_pair_logits(model, fused, pairs).values) < 1e-12
+
+
+def test_pair_head_matches_the_concat_form_on_reversed_clipped_and_repeated_pairs():
+    cfg = _config(max_rel_dist=16, max_positions=128)
+    model = PairwiseREModel(cfg)
+    fused = ag.Tensor(np.random.default_rng(2).standard_normal((80, cfg.fused_dim)))
+    pairs = [(0, 16), (16, 0), (0, 17), (66, 0), (3, 79), (79, 3), (5, 6), (6, 5), (5, 6), (40, 24), (24, 40)]
+    got = model.pair_logits(fused, pairs).values
+    assert _relative_gap(got, concat_pair_logits(model, fused, pairs).values) < 1e-12
+    np.testing.assert_array_equal(got[6], got[8])
 
 
 def test_masked_loss_uniform_and_extreme():
