@@ -8,8 +8,13 @@ output stays in it.
 
 Each operation computes its result eagerly with numpy and, while gradients
 are enabled, records a closure that pushes the output gradient back to its
-inputs. ``backward`` walks the recorded graph once in reverse topological
-order, accumulating (+=) into ``.grad`` buffers, then frees the graph.
+inputs. A closure saves only the arrays its backward reads, and computes
+nothing for an input that takes no gradient. ``backward`` walks the recorded
+graph once in reverse topological order, accumulating (+=) into ``.grad``
+buffers, and frees each node as it goes: once a node's backward has run, the
+node drops its gradient, its parents and its closure, so its activations and
+saved arrays live only as long as a later backward can read them. Only leaf
+gradients (parameters and user tensors with ``requires_grad``) survive.
 
 The op set is intentionally small: exactly what the relation-extraction
 models need, with two fused ops where a layer is hot (``linear`` for
@@ -78,7 +83,7 @@ def compute_dtype() -> np.dtype:
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backprop", "_consumed")
+    __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backprop", "_consumed", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=_dtype)
@@ -106,16 +111,20 @@ def as_tensor(x) -> Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # a single-pass sum is NaN or +-inf iff the array holds a non-finite value
-    # (finite desk-scale magnitudes cannot overflow the accumulator, even in float32)
-    if _debug_checks and not math.isfinite(float(arr.sum())):
+    # element-wise, not a sum: a float32 sum of finite values can overflow
+    if _debug_checks and not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
+
+
+def _records(*parents: Tensor) -> bool:
+    """True when an op on these inputs records a node for backward."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _node(values: np.ndarray, parents: tuple[Tensor, ...], backprop, op: str) -> Tensor:
     _check_finite(values, op)
     out = Tensor(values)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(*parents):
         out.requires_grad = True
         out._parents = parents
         out._backprop = backprop
@@ -151,8 +160,10 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"op 'add': shapes {a.values.shape} and {b.values.shape} do not broadcast") from None
 
     def backprop(g):
-        _accumulate(a, _unbroadcast(g, a.values.shape))
-        _accumulate(b, _unbroadcast(g, b.values.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.values.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.values.shape))
 
     return _node(values, (a, b), backprop, "add")
 
@@ -165,8 +176,10 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"op 'mul': shapes {a.values.shape} and {b.values.shape} do not broadcast") from None
 
     def backprop(g):
-        _accumulate(a, _unbroadcast(g * b.values, a.values.shape))
-        _accumulate(b, _unbroadcast(g * a.values, b.values.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.values, a.values.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.values, b.values.shape))
 
     return _node(values, (a, b), backprop, "mul")
 
@@ -180,10 +193,10 @@ def matmul(a, b) -> Tensor:
     values = np.matmul(a.values, b.values)
 
     def backprop(g):
-        ga = np.matmul(g, np.swapaxes(b.values, -1, -2))
-        gb = np.matmul(np.swapaxes(a.values, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.values.shape))
-        _accumulate(b, _unbroadcast(gb, b.values.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.values, -1, -2)), a.values.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.values, -1, -2), g), b.values.shape))
 
     return _node(values, (a, b), backprop, "matmul")
 
@@ -220,7 +233,8 @@ def linear(x, w, b) -> Tensor:
         )
     if x.values.shape[1] != w.values.shape[0]:
         raise ShapeError(f"op 'linear': inner dimensions disagree for {x.values.shape} @ {w.values.shape}")
-    values = x.values @ w.values + b.values
+    values = x.values @ w.values
+    values += b.values
 
     def backprop(g):
         if x.requires_grad:
@@ -328,9 +342,9 @@ def pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx) -> Tensor:
 def row_softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis, numerically stabilised."""
     x = as_tensor(x)
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_values = e / e.sum(axis=-1, keepdims=True)
+    out_values = x.values - x.values.max(axis=-1, keepdims=True)
+    np.exp(out_values, out=out_values)
+    out_values /= out_values.sum(axis=-1, keepdims=True)
 
     def backprop(g):
         inner = (g * out_values).sum(axis=-1, keepdims=True)
@@ -344,16 +358,22 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth gating nonlinearity (tanh form); the backward differentiates this exact form."""
+    """Smooth gating nonlinearity (tanh form); the backward differentiates this exact form.
+
+    While recording, the forward also computes the derivative and saves only
+    that; under ``no_grad`` it computes no derivative.
+    """
     x = as_tensor(x)
     v = x.values
     v_sq = v * v
     t = np.tanh(_GELU_C * (v + _GELU_A * (v_sq * v)))
     half_gate = 0.5 * (1.0 + t)
     values = v * half_gate
+    if not _records(x):
+        return _node(values, (x,), None, "gelu")
+    d = half_gate + 0.5 * v * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * v_sq)
 
     def backprop(g):
-        d = half_gate + 0.5 * v * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * v_sq)
         _accumulate(x, g * d)
 
     return _node(values, (x,), backprop, "gelu")
@@ -367,9 +387,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"op 'layer_norm': gain/bias must have shape ({n},), got {gain.values.shape} and {bias.values.shape}"
         )
-    mu = x.values.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(x.values, axis=-1, keepdims=True) / n
     centred = x.values - mu
-    var = (centred * centred).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     normed = centred * inv
     values = normed * gain.values + bias.values
@@ -394,11 +414,16 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
-    mask = (rng.random(x.values.shape, dtype=_dtype) >= p).astype(_dtype) / (1.0 - p)
-    values = x.values * mask
+    # a boolean mask and one scale factor: x * keep * factor equals x * (keep / (1 - p)) bit for bit
+    keep = rng.random(x.values.shape, dtype=_dtype) >= p
+    factor = _dtype.type(1) / _dtype.type(1 - p)
+    values = x.values * keep
+    values *= factor
 
     def backprop(g):
-        _accumulate(x, g * mask)
+        gx = g * keep
+        gx *= factor
+        _accumulate(x, gx)
 
     return _node(values, (x,), backprop, "dropout")
 
@@ -456,10 +481,9 @@ def transpose(x: Tensor, axes) -> Tensor:
     x = as_tensor(x)
     axes = tuple(axes)
     values = np.transpose(x.values, axes)
-    inverse = tuple(np.argsort(axes))
 
     def backprop(g):
-        _accumulate(x, np.transpose(g, inverse))
+        _accumulate(x, np.transpose(g, np.argsort(axes)))
 
     return _node(values, (x,), backprop, "transpose")
 
@@ -469,7 +493,13 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Propagate d(loss)/d(node) to every reachable tensor, then free the graph."""
+    """Accumulate d(loss)/d(leaf) into the ``.grad`` of every reachable leaf, freeing the graph as it goes.
+
+    Nodes are popped in reverse topological order. After its backward has
+    run, a node made by an op drops its gradient, parents and closure, so
+    nothing keeps a node alive once no later backward can read it. Leaves
+    (tensors no op made) keep their ``.grad``.
+    """
     if loss.values.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.values.shape}")
     if loss._consumed:
@@ -492,11 +522,14 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones((), dtype=_dtype)
-    for node in reversed(order):
-        if node._backprop is not None and node.grad is not None:
-            if _debug_checks and not math.isfinite(float(node.grad.sum())):
-                raise FloatingPointError("non-finite gradient encountered during backward")
-            node._backprop(node.grad)
+    while order:
+        node = order.pop()
+        if node._backprop is not None:
+            if node.grad is not None:
+                if _debug_checks and not np.isfinite(node.grad).all():
+                    raise FloatingPointError("non-finite gradient encountered during backward")
+                node._backprop(node.grad)
+            node.grad = None
         node._consumed = True
         node._parents = ()
         node._backprop = None

@@ -265,8 +265,11 @@ def save_bundle(path: str, result: TrainResult) -> None:
     save_checkpoint(path, {name: p.values for name, p in result.model.params.items()}, config)
 
 
-def _header_values(config: dict) -> tuple[Vocabulary, int, int]:
-    """A checkpoint config's vocabulary and window settings; a bad value raises ValueError naming its key."""
+def _header_values(config: dict) -> tuple[Vocabulary, int, int, bool]:
+    """A checkpoint config's vocabulary, window settings and SAME_FRAME flag.
+
+    A bad value raises ValueError naming its key.
+    """
     tokens = config["vocab"]
     if (not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens)
             or tuple(tokens[:len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS):
@@ -277,7 +280,10 @@ def _header_values(config: dict) -> tuple[Vocabulary, int, int]:
             raise ValueError(f"key {key!r} must be a positive integer, got {value!r}")
     if stride > window:
         raise ValueError(f"key 'stride_chars' ({stride}) exceeds 'window_chars' ({window})")
-    return Vocabulary(tokens), window, stride
+    same_frame = config["include_same_frame"]
+    if not isinstance(same_frame, bool):
+        raise ValueError(f"key 'include_same_frame' must be true or false, got {same_frame!r}")
+    return Vocabulary(tokens), window, stride, same_frame
 
 
 @ag.float32_compute()
@@ -286,11 +292,11 @@ def load_bundle(path: str) -> InferenceBundle:
     params, config = load_checkpoint(path)
     try:
         schema = SchemaProfile.from_dict(config["schema"])
-        vocab, window_chars, stride_chars = _header_values(config)
+        vocab, window_chars, stride_chars, same_frame = _header_values(config)
         bundle = InferenceBundle(
             model=PairwiseREModel(ModelConfig.from_dict(config["model"])),
             vocab=vocab,
-            class_map=RelationClassMap(schema, include_same_frame=config["include_same_frame"]),
+            class_map=RelationClassMap(schema, include_same_frame=same_frame),
             schema=schema,
             window_chars=window_chars,
             stride_chars=stride_chars,

@@ -155,6 +155,37 @@ def concat_pair_logits(model, fused: ag.Tensor, pairs) -> ag.Tensor:
     return ag.add(ag.matmul(hidden, store["pair.fc2.w"]), store["pair.fc2.b"])
 
 
+def gelu_saving_temporaries(x: ag.Tensor) -> ag.Tensor:
+    """The gelu op in its earlier form, which saved v*v, tanh and the half gate for its backward.
+
+    The oracle for ``ag.gelu``, which now saves only the derivative.
+    """
+    v = x.values
+    v_sq = v * v
+    t = np.tanh(ag._GELU_C * (v + ag._GELU_A * (v_sq * v)))
+    half_gate = 0.5 * (1.0 + t)
+
+    def backprop(g):
+        d = half_gate + 0.5 * v * (1.0 - t * t) * ag._GELU_C * (1.0 + 3.0 * ag._GELU_A * v_sq)
+        ag._accumulate(x, g * d)
+
+    return ag._node(v * half_gate, (x,), backprop, "gelu")
+
+
+def dropout_with_float_mask(x: ag.Tensor, p: float, rng: np.random.Generator) -> ag.Tensor:
+    """The training-mode dropout op in its earlier form, with a scaled float mask.
+
+    The oracle for ``ag.dropout``, which now keeps a boolean mask and one scale factor.
+    """
+    dtype = ag.compute_dtype()
+    mask = (rng.random(x.values.shape, dtype=dtype) >= p).astype(dtype) / (1.0 - p)
+
+    def backprop(g):
+        ag._accumulate(x, g * mask)
+
+    return ag._node(x.values * mask, (x,), backprop, "dropout")
+
+
 @pytest.fixture
 def corp_hus():
     return CORP_HUS

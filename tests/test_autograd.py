@@ -1,4 +1,6 @@
+import contextlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from medrex import autograd as ag
 from medrex.optim import finite_diff_check
 
-from .conftest import total
+from .conftest import dropout_with_float_mask, gelu_saving_temporaries, total
 
 
 def _param(rng, shape):
@@ -61,6 +63,33 @@ def test_backward_twice_rejected():
     ag.backward(loss)
     with pytest.raises(ag.GraphError):
         ag.backward(loss)
+
+
+def test_backward_frees_each_node_once_its_backward_has_run():
+    x = ag.Tensor(np.linspace(-2.0, 2.0, 6), requires_grad=True)
+    inner = ag.mul(x, x)
+    outer = ag.gelu(inner)
+    loss = total(outer)
+    outer_ref = weakref.ref(outer)
+    del outer
+    alive_during_inner_backward = []
+    inner_backprop = inner._backprop
+
+    def spy(g):
+        alive_during_inner_backward.append(outer_ref() is not None)
+        inner_backprop(g)
+
+    inner._backprop = spy
+    ag.backward(loss)
+    # the gelu node was freed before the node feeding it ran its backward
+    assert alive_during_inner_backward == [False]
+    # a held intermediate keeps its values but no gradient; the leaf keeps its gradient
+    assert inner.grad is None and loss.grad is None
+    np.testing.assert_array_equal(inner.values, x.values * x.values)
+    assert x.grad is not None and x.grad.shape == (6,)
+    inner_ref = weakref.ref(inner)
+    del inner
+    assert inner_ref() is None
 
 
 def test_shape_mismatch_names_op_and_shapes():
@@ -345,3 +374,73 @@ def test_float32_backward_overflow_raises():
         assert np.isfinite(loss.values)
         with pytest.raises(FloatingPointError, match="backward"):
             ag.backward(loss)
+
+
+def test_float32_finite_values_whose_sum_overflows_pass_forward():
+    with ag.float32_compute():
+        out = ag.mul(ag.Tensor([3e38, 3e38]), ag.Tensor([1.0, 1.0]))
+    np.testing.assert_array_equal(out.values, np.float32([3e38, 3e38]))
+
+
+def test_float32_finite_gradient_whose_sum_overflows_passes_backward():
+    # the gradient reaching `a` is [3e38, 3e38]: each entry is finite, their float32 sum is not
+    with ag.float32_compute():
+        x = ag.Tensor([1.0, 1.0], requires_grad=True)
+        a = ag.scale(x, 1e-30)
+        loss = total(ag.mul(a, ag.Tensor([3e38, 3e38])))
+        ag.backward(loss)
+    np.testing.assert_allclose(x.grad, [3e8, 3e8], rtol=1e-6)
+
+
+def _signed_inputs(dtype):
+    rng = np.random.default_rng(15)
+    values = rng.standard_normal((6, 40)) * np.array([[1e-3], [0.5], [1.0], [3.0], [10.0], [1e-30]])
+    values[0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+    weights = rng.standard_normal((6, 40))
+    weights[1, :6] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+    return values.astype(dtype), weights.astype(dtype)
+
+
+def _value_and_input_gradient(op, values, weights):
+    x = ag.Tensor(values, requires_grad=True)
+    y = op(x)
+    out = y.values.copy()
+    ag.backward(total(ag.mul(y, ag.Tensor(weights))))
+    return out, x.grad
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_gelu_matches_its_earlier_form_bit_for_bit(compute):
+    with compute():
+        values, weights = _signed_inputs(ag.compute_dtype())
+        got = _value_and_input_gradient(ag.gelu, values, weights)
+        want = _value_and_input_gradient(gelu_saving_temporaries, values, weights)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 0.9])
+def test_dropout_matches_its_earlier_form_bit_for_bit(compute, p):
+    with compute():
+        values, weights = _signed_inputs(ag.compute_dtype())
+        got = _value_and_input_gradient(
+            lambda x: ag.dropout(x, p, np.random.default_rng(5), training=True), values, weights)
+        want = _value_and_input_gradient(
+            lambda x: dropout_with_float_mask(x, p, np.random.default_rng(5)), values, weights)
+    assert np.signbit(got[0][got[0] == 0]).any()
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+def test_gelu_under_no_grad_records_nothing():
+    x = ag.Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
+    with ag.no_grad():
+        out = ag.gelu(x)
+    assert out._backprop is None and not out.requires_grad
+    _assert_same_bits(out.values, gelu_saving_temporaries(ag.Tensor(x.values)).values)

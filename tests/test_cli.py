@@ -397,6 +397,10 @@ def _stride_over_window(header):
     header["config"]["stride_chars"] = header["config"]["window_chars"] + 1
 
 
+def _string_same_frame(header):
+    header["config"]["include_same_frame"] = "yes"
+
+
 def _params_as_mapping(header):
     header["params"] = {entry["name"]: entry["shape"] for entry in header["params"]}
 
@@ -418,6 +422,7 @@ def _entry_without_shape(header):
     (_string_window, "'window_chars'"),
     (_zero_stride, "'stride_chars'"),
     (_stride_over_window, "'stride_chars'"),
+    (_string_same_frame, "'include_same_frame'"),
     (_params_as_mapping, "'params'"),
     (_entry_without_name, "'name'"),
     (_entry_without_shape, "'shape'"),
