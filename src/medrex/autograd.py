@@ -11,10 +11,13 @@ are enabled, records a closure that pushes the output gradient back to its
 inputs. A closure saves only the arrays its backward reads, and computes
 nothing for an input that takes no gradient. ``backward`` walks the recorded
 graph once in reverse topological order, accumulating (+=) into ``.grad``
-buffers, and frees each node as it goes: once a node's backward has run, the
-node drops its gradient, its parents and its closure, so its activations and
-saved arrays live only as long as a later backward can read them. Only leaf
-gradients (parameters and user tensors with ``requires_grad``) survive.
+buffers, and frees each node as it goes. A node's first gradient becomes its
+buffer without a copy when the op built that array for it alone; a gradient
+that may share memory (``add``'s pass-through, views) is copied. Once a
+node's backward has run, the node drops its gradient, its parents and its
+closure, so its activations and saved arrays live only as long as a later
+backward can read them. Only leaf gradients (parameters and user tensors
+with ``requires_grad``) survive.
 
 The op set is intentionally small: exactly what the relation-extraction
 models need, with two fused ops where a layer is hot (``linear`` for
@@ -98,9 +101,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Tensor{tag} shape={self.values.shape}>"
@@ -131,12 +131,17 @@ def _node(values: np.ndarray, parents: tuple[Tensor, ...], backprop, op: str) ->
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    ``fresh`` marks an array the op built in this call for ``t`` alone, which
+    a first gradient keeps as its buffer. Any other ``g`` may be another
+    tensor's gradient or a view of one, so a first gradient copies it.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # own a copy: g may alias another tensor's gradient buffer or a view
-        t.grad = np.array(g, dtype=_dtype)
+        t.grad = np.asarray(g, dtype=_dtype) if fresh else np.array(g, dtype=_dtype)
     else:
         t.grad += g
 
@@ -177,9 +182,9 @@ def mul(a, b) -> Tensor:
 
     def backprop(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.values, a.values.shape))
+            _accumulate(a, _unbroadcast(g * b.values, a.values.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.values, b.values.shape))
+            _accumulate(b, _unbroadcast(g * a.values, b.values.shape), fresh=True)
 
     return _node(values, (a, b), backprop, "mul")
 
@@ -194,9 +199,9 @@ def matmul(a, b) -> Tensor:
 
     def backprop(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.values, -1, -2)), a.values.shape))
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.values, -1, -2)), a.values.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.values, -1, -2), g), b.values.shape))
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.values, -1, -2), g), b.values.shape), fresh=True)
 
     return _node(values, (a, b), backprop, "matmul")
 
@@ -238,10 +243,10 @@ def linear(x, w, b) -> Tensor:
 
     def backprop(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.values.T)
+            _accumulate(x, g @ w.values.T, fresh=True)
         if w.requires_grad:
-            _accumulate(w, x.values.T @ g)
-        _accumulate(b, g.sum(axis=0))
+            _accumulate(w, x.values.T @ g, fresh=True)
+        _accumulate(b, g.sum(axis=0), fresh=True)
 
     return _node(values, (x, w, b), backprop, "linear")
 
@@ -281,7 +286,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 
     def backprop(g):
         if x.requires_grad:
-            _accumulate(x, _scatter_rows(g, idx, x.values.shape[0]))
+            _accumulate(x, _scatter_rows(g, idx, x.values.shape[0]), fresh=True)
 
     return _node(values, (x,), backprop, "gather_rows")
 
@@ -327,14 +332,14 @@ def pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.values)
             gx[rows] = g_a @ w_i.T + g_b @ w_j.T
-            _accumulate(x, gx)
+            _accumulate(x, gx, fresh=True)
         if rel.requires_grad:
             grel = np.zeros_like(rel.values)
             grel[rel_rows] = g_p @ w_r.T
-            _accumulate(rel, grel)
+            _accumulate(rel, grel, fresh=True)
         if w.requires_grad:
-            _accumulate(w, np.concatenate([h.T @ g_a, h.T @ g_b, e.T @ g_p]))
-        _accumulate(b, g.sum(axis=0))
+            _accumulate(w, np.concatenate([h.T @ g_a, h.T @ g_b, e.T @ g_p]), fresh=True)
+        _accumulate(b, g.sum(axis=0), fresh=True)
 
     return _node(values, (x, rel, w, b), backprop, "pair_linear")
 
@@ -348,7 +353,7 @@ def row_softmax(x: Tensor) -> Tensor:
 
     def backprop(g):
         inner = (g * out_values).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - inner) * out_values)
+        _accumulate(x, (g - inner) * out_values, fresh=True)
 
     return _node(out_values, (x,), backprop, "row_softmax")
 
@@ -374,7 +379,7 @@ def gelu(x: Tensor) -> Tensor:
     d = half_gate + 0.5 * v * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * v_sq)
 
     def backprop(g):
-        _accumulate(x, g * d)
+        _accumulate(x, g * d, fresh=True)
 
     return _node(values, (x,), backprop, "gelu")
 
@@ -395,13 +400,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     values = normed * gain.values + bias.values
 
     def backprop(g):
-        _accumulate(gain, _unbroadcast(g * normed, gain.values.shape))
+        _accumulate(gain, _unbroadcast(g * normed, gain.values.shape), fresh=True)
+        # on 1-d input this is g itself
         _accumulate(bias, _unbroadcast(g, bias.values.shape))
         if x.requires_grad:
             dn = g * gain.values
             s1 = dn.sum(axis=-1, keepdims=True)
             s2 = (dn * normed).sum(axis=-1, keepdims=True)
-            _accumulate(x, inv * (dn - s1 / n - normed * s2 / n))
+            _accumulate(x, inv * (dn - s1 / n - normed * s2 / n), fresh=True)
 
     return _node(values, (x, gain, bias), backprop, "layer_norm")
 
@@ -423,7 +429,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
     def backprop(g):
         gx = g * keep
         gx *= factor
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _node(values, (x,), backprop, "dropout")
 
@@ -449,7 +455,7 @@ def cross_entropy(logits: Tensor, class_ids) -> Tensor:
     def backprop(g):
         buf = probs.copy()
         buf[rows, ids] -= 1.0
-        _accumulate(logits, buf * g[:, None])
+        _accumulate(logits, buf * g[:, None], fresh=True)
 
     return _node(values, (logits,), backprop, "cross_entropy")
 
@@ -462,7 +468,7 @@ def reduce_mean(x: Tensor) -> Tensor:
     scale = 1.0 / x.values.size
 
     def backprop(g):
-        _accumulate(x, np.full_like(x.values, float(g) * scale))
+        _accumulate(x, np.full_like(x.values, float(g) * scale), fresh=True)
 
     return _node(values, (x,), backprop, "mean")
 

@@ -4,7 +4,10 @@ Training is single threaded and fully seeded: epoch-level shuffling, model
 initialisation, and dropout all derive from the run seed, so identical
 configurations produce bit-identical checkpoints. The optimiser follows the
 warmup-then-decay schedule; the loss is the masked pairwise cross entropy,
-averaged over the segments of each batch. Training, loaded bundles and the
+averaged over the segments of each batch. Each segment's loss term is
+backpropagated as soon as its forward ends, and backward frees its graph
+before the next segment's forward, so one segment's graph is alive at a time;
+the per-pair baseline does the same per pair. Training, loaded bundles and the
 cost report compute in float32 (``autograd.float32_compute``); checkpoints
 store those values exactly as float64 payloads.
 """
@@ -15,8 +18,6 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from . import autograd as ag
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -140,18 +141,15 @@ def _model_config(
     return ModelConfig(**fields)
 
 
-def _mean_loss(losses: list[ag.Tensor]) -> ag.Tensor:
-    total = losses[0]
-    for item in losses[1:]:
-        total = ag.add(total, item)
-    return ag.scale(total, 1.0 / len(losses))
-
-
-def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_loss) -> tuple[list[dict], list[float]]:
+def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_terms) -> tuple[list[dict], list[float]]:
     """The training loop: seeded epoch shuffles, batches, warmup/decay Adam steps.
 
-    ``batch_loss`` maps a batch of segments to its scalar loss; the models
-    differ only there. Returns the per-step run log and the epoch seconds.
+    ``batch_terms`` maps a batch of segments to its number of loss terms and
+    an iterator that builds them one at a time; the models differ only
+    there. A batch's loss is the mean of its terms. Each term is
+    backpropagated, scaled by 1/n, as soon as its forward ends, so one term's
+    graph is alive at a time and only the parameter gradients carry over to
+    the next term. Returns the per-step run log and the epoch seconds.
     """
     steps_per_epoch = math.ceil(len(encoded) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -169,14 +167,19 @@ def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_loss) 
         order = list(range(len(encoded)))
         shuffler.shuffle(order)
         for batch_start in range(0, len(order), config.batch_size):
-            loss = batch_loss([encoded[i] for i in order[batch_start:batch_start + config.batch_size]])
-            ag.backward(loss)
+            n_terms, terms = batch_terms([encoded[i] for i in order[batch_start:batch_start + config.batch_size]])
+            total = None
+            for term in terms:
+                ag.backward(ag.scale(term, 1.0 / n_terms))
+                total = term.values if total is None else total + term.values
+            # the same float32 chain as summing the terms' graph, then scaling it
+            loss = total * ag.compute_dtype().type(1.0 / n_terms)
             lr = lr_at(schedule, step)
             adam_step(model.params, lr)
             run_log.append({
                 "step": step,
                 "lr": lr,
-                "loss": loss.item(),
+                "loss": float(loss),
                 "forwards": model.encoder_forwards,
             })
             step += 1
@@ -184,24 +187,28 @@ def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_loss) 
     return run_log, epoch_seconds
 
 
-def _pairwise_loss(model: PairwiseREModel, config: TrainConfig):
-    return lambda batch: _mean_loss([
+def _pairwise_terms(model: PairwiseREModel, config: TrainConfig):
+    """One loss term per segment."""
+    return lambda batch: (len(batch), (
         masked_loss(model.forward(seg, train=True), seg.targets, config.null_class_weight)
         for seg in batch
-    ])
+    ))
 
 
-def _baseline_loss(model: BaselinePairModel):
-    def batch_loss(batch: list[EncodedSegment]) -> ag.Tensor:
-        pair_losses: list[ag.Tensor] = []
-        for seg in batch:
-            for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities))):
-                logits = model.forward_pair(seg, a, b, train=True)
-                target = np.asarray([seg.targets[row].class_id], dtype=np.intp)
-                pair_losses.append(ag.reduce_mean(ag.cross_entropy(logits, target)))
-        return _mean_loss(pair_losses)
+def _baseline_terms(model: BaselinePairModel):
+    """One loss term per ordered entity pair: the baseline re-encodes the segment for each."""
+    def batch_terms(batch: list[EncodedSegment]):
+        pairs = [
+            (seg, seg.targets[row].class_id, a, b)
+            for seg in batch
+            for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities)))
+        ]
+        return len(pairs), (
+            ag.reduce_mean(ag.cross_entropy(model.forward_pair(seg, a, b, train=True), [class_id]))
+            for seg, class_id, a, b in pairs
+        )
 
-    return batch_loss
+    return batch_terms
 
 
 @ag.float32_compute()
@@ -215,7 +222,7 @@ def train(
     encoded, vocab, class_map, report = _prepare_segments(corpus, schema, config)
     model_config = _model_config(vocab, class_map, schema, config, encoded, model_overrides)
     model = PairwiseREModel(model_config)
-    run_log, epoch_seconds = _fit(model, encoded, config, _pairwise_loss(model, config))
+    run_log, epoch_seconds = _fit(model, encoded, config, _pairwise_terms(model, config))
     return TrainResult(
         model=model,
         vocab=vocab,
@@ -363,9 +370,9 @@ def cost_report(
     pair_sum = sum(len(seg.entities) * (len(seg.entities) - 1) for seg in encoded)
 
     pairwise = PairwiseREModel(model_config)
-    _, pairwise_epoch_seconds = _fit(pairwise, encoded, config, _pairwise_loss(pairwise, config))
+    _, pairwise_epoch_seconds = _fit(pairwise, encoded, config, _pairwise_terms(pairwise, config))
     baseline = BaselinePairModel(model_config)
-    _, baseline_epoch_seconds = _fit(baseline, encoded, config, _baseline_loss(baseline))
+    _, baseline_epoch_seconds = _fit(baseline, encoded, config, _baseline_terms(baseline))
 
     return CostReport(
         segments=len(encoded),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 
 from medrex import autograd as ag
 from medrex.frames import Frame, FrameSet
+from medrex.model import masked_loss
+from medrex.optim import LrSchedule, adam_step, lr_at
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
+from medrex.windowing import ordered_entity_pairs
 
 TOCILIZUMAB_TEXT = (
     "treatment with tocilizumab IV every 4 weeks from July to October, "
@@ -189,3 +193,71 @@ def dropout_with_float_mask(x: ag.Tensor, p: float, rng: np.random.Generator) ->
 @pytest.fixture
 def corp_hus():
     return CORP_HUS
+
+
+def accumulate_copying_every_first_gradient(t: ag.Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """``autograd._accumulate`` in its earlier form, which copied every first gradient.
+
+    The oracle for ``ag._accumulate``, which keeps a first gradient the op built for that input alone.
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.array(g, dtype=ag.compute_dtype())
+    else:
+        t.grad += g
+
+
+def _mean_loss(losses: list[ag.Tensor]) -> ag.Tensor:
+    total = losses[0]
+    for item in losses[1:]:
+        total = ag.add(total, item)
+    return ag.scale(total, 1.0 / len(losses))
+
+
+def pairwise_batch_loss(model, config):
+    """A batch's whole pairwise loss as one graph: every segment's term, summed, then scaled."""
+    return lambda batch: _mean_loss([
+        masked_loss(model.forward(seg, train=True), seg.targets, config.null_class_weight)
+        for seg in batch
+    ])
+
+
+def baseline_batch_loss(model):
+    """A batch's whole baseline loss as one graph: every ordered pair's term, summed, then scaled."""
+    def batch_loss(batch):
+        pair_losses = []
+        for seg in batch:
+            for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities))):
+                logits = model.forward_pair(seg, a, b, train=True)
+                target = np.asarray([seg.targets[row].class_id], dtype=np.intp)
+                pair_losses.append(ag.reduce_mean(ag.cross_entropy(logits, target)))
+        return _mean_loss(pair_losses)
+
+    return batch_loss
+
+
+def whole_batch_fit(model, encoded, config, batch_loss) -> list[dict]:
+    """The training loop in its earlier form: a batch's whole graph is built, then one backward.
+
+    The oracle for ``train._fit``, which backpropagates each loss term as soon
+    as its forward ends. Same shuffles, schedule and Adam steps; returns the run log.
+    """
+    total_steps = config.epochs * math.ceil(len(encoded) / config.batch_size)
+    schedule = LrSchedule(
+        peak_lr=config.peak_lr,
+        warmup_steps=int(round(config.warmup_fraction * total_steps)),
+        total_steps=total_steps,
+    )
+    shuffler = random.Random(config.seed)
+    run_log = []
+    for _ in range(config.epochs):
+        order = list(range(len(encoded)))
+        shuffler.shuffle(order)
+        for batch_start in range(0, len(order), config.batch_size):
+            loss = batch_loss([encoded[i] for i in order[batch_start:batch_start + config.batch_size]])
+            ag.backward(loss)
+            lr = lr_at(schedule, len(run_log))
+            adam_step(model.params, lr)
+            run_log.append({"step": len(run_log), "lr": lr, "loss": float(loss.values), "forwards": model.encoder_forwards})
+    return run_log

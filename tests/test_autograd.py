@@ -444,3 +444,95 @@ def test_gelu_under_no_grad_records_nothing():
         out = ag.gelu(x)
     assert out._backprop is None and not out.requires_grad
     _assert_same_bits(out.values, gelu_saving_temporaries(ag.Tensor(x.values)).values)
+
+
+def _record_first_gradients(monkeypatch) -> dict:
+    """id(tensor) -> the array its first ``_accumulate`` call handed over."""
+    first = {}
+    original = ag._accumulate
+
+    def recording(t, g, fresh=False):
+        if t.requires_grad and t.grad is None:
+            first[id(t)] = g
+        original(t, g, fresh)
+
+    monkeypatch.setattr(ag, "_accumulate", recording)
+    return first
+
+
+def _weighted_total(out: ag.Tensor, rng) -> ag.Tensor:
+    return total(ag.mul(out, ag.Tensor(rng.standard_normal(out.shape))))
+
+
+_BUILT_FOR_ONE_INPUT = {
+    "mul": ([(3, 4), (3, 4)], lambda x, w: ag.mul(x, w)),
+    "matmul": ([(3, 4), (4, 2)], ag.matmul),
+    "linear": ([(3, 4), (4, 2), (2,)], ag.linear),
+    "gather_rows": ([(4, 3)], lambda x: ag.gather_rows(x, [0, 2, 2])),
+    "gelu": ([(3, 4)], ag.gelu),
+    "row_softmax": ([(3, 4)], ag.row_softmax),
+    "layer_norm": ([(3, 4), (4,)], lambda x, gain: ag.layer_norm(x, gain, ag.Tensor(np.zeros(4)))),
+    "dropout": ([(3, 4)], lambda x: ag.dropout(x, 0.3, np.random.default_rng(1), training=True)),
+    "cross_entropy": ([(3, 4)], lambda x: ag.cross_entropy(x, [0, 3, 1])),
+    "mean": ([(3, 4)], ag.reduce_mean),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_BUILT_FOR_ONE_INPUT) + ["pair_linear"])
+def test_a_first_gradient_the_op_built_for_one_input_is_kept_without_a_copy(monkeypatch, op):
+    rng = np.random.default_rng(23)
+    if op == "pair_linear":
+        x, rel, w, b, i_idx, j_idx, rel_idx = _pair_inputs(rng)
+        leaves = [x, rel, w, b]
+        out = ag.pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx)
+    else:
+        shapes, build = _BUILT_FOR_ONE_INPUT[op]
+        leaves = [_param(rng, shape) for shape in shapes]
+        out = build(*leaves)
+    first = _record_first_gradients(monkeypatch)
+    ag.backward(_weighted_total(out, rng))
+    for leaf in leaves:
+        assert leaf.grad is first[id(leaf)]
+
+
+def _may_share_memory(op, rng) -> tuple[ag.Tensor, list[ag.Tensor]]:
+    """An op whose backward hands its inputs ``g`` itself or views of it, with the leaves it feeds."""
+    x, y = _param(rng, (2, 3)), _param(rng, (2, 3))
+    if op == "add":
+        return ag.add(x, y), [x, y]
+    if op == "reshape":
+        return ag.reshape(x, (3, 2)), [x]
+    if op == "transpose":
+        return ag.transpose(x, (1, 0)), [x]
+    if op == "concat":
+        return ag.concat([x, y]), [x, y]
+    gain, bias = _param(rng, (3,)), _param(rng, (3,))
+    return ag.layer_norm(_param(rng, (3,)), gain, bias), [bias]
+
+
+@pytest.mark.parametrize("op", ["add", "reshape", "transpose", "concat", "layer_norm bias on 1-d input"])
+def test_a_first_gradient_that_may_share_memory_is_copied(op):
+    rng = np.random.default_rng(24)
+    out, leaves = _may_share_memory(op, rng)
+    ag.backward(_weighted_total(out, rng))
+    for leaf in leaves:
+        assert leaf.grad.flags.owndata
+    if len(leaves) == 2:
+        assert not np.shares_memory(leaves[0].grad, leaves[1].grad)
+
+
+def test_add_gives_each_input_its_own_gradient_buffer_across_backward_passes():
+    x = ag.Tensor(np.arange(3.0), requires_grad=True)
+    y = ag.Tensor(np.arange(3.0), requires_grad=True)
+    ag.backward(total(ag.add(x, y)))
+    y_grad = y.grad.copy()
+    ag.backward(total(ag.mul(x, ag.Tensor(np.full(3, 2.0)))))
+    np.testing.assert_array_equal(y.grad, y_grad)
+    np.testing.assert_array_equal(x.grad, y_grad + 2.0)
+
+
+def test_a_kept_first_gradient_takes_the_compute_dtype():
+    x = ag.Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)  # float64, made outside the block
+    with ag.float32_compute():
+        ag.backward(total(ag.mul(x, ag.Tensor(np.full(4, 3.0)))))
+        assert x.grad.dtype == np.float32

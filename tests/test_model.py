@@ -187,13 +187,13 @@ def test_masked_loss_uniform_and_extreme():
     logits = ag.Tensor(np.zeros((4, 5)))
     targets = [PairTarget(0, 1, 2), PairTarget(1, 0, 0), PairTarget(0, 2, 1), PairTarget(2, 0, 0)]
     loss = masked_loss(logits, targets)
-    assert loss.item() == pytest.approx(math.log(5.0), abs=1e-12)
+    assert float(loss.values) == pytest.approx(math.log(5.0), abs=1e-12)
 
     hot = np.full((2, 5), -50.0)
     hot[0, 3] = 50.0
     hot[1, 0] = 50.0
     small = masked_loss(ag.Tensor(hot), [PairTarget(0, 1, 3), PairTarget(1, 0, 0)])
-    assert small.item() < 1e-8
+    assert float(small.values) < 1e-8
 
     with pytest.raises(ModelError, match="at least one"):
         masked_loss(ag.Tensor(np.zeros((0, 5))), [])
@@ -202,8 +202,8 @@ def test_masked_loss_uniform_and_extreme():
 def test_masked_loss_null_downweighting():
     logits = ag.Tensor(np.zeros((2, 5)))
     targets = [PairTarget(0, 1, 0), PairTarget(1, 0, 2)]
-    plain = masked_loss(logits, targets).item()
-    down = masked_loss(logits, targets, null_class_weight=0.5).item()
+    plain = float(masked_loss(logits, targets).values)
+    down = float(masked_loss(logits, targets, null_class_weight=0.5).values)
     assert down == pytest.approx(0.75 * plain)
 
 
@@ -215,14 +215,14 @@ def test_class_relabeling_leaves_loss_unchanged():
     labels = [0, 1, 0, 2, 0, 3]
     targets = [PairTarget(1, 3, 2), PairTarget(3, 1, 0), PairTarget(1, 5, 4), PairTarget(5, 3, 1)]
     fused = model.fuse_and_attend(model.encode_tokens(ids), labels)
-    loss = masked_loss(model.pair_logits(fused, [(t.i, t.j) for t in targets]), targets).item()
+    loss = float(masked_loss(model.pair_logits(fused, [(t.i, t.j) for t in targets]), targets).values)
 
     perm = rng.permutation(cfg.num_classes)  # class c is renamed perm[c]
     model.params["pair.fc2.w"].values[:] = model.params["pair.fc2.w"].values[:, np.argsort(perm)]
     model.params["pair.fc2.b"].values[:] = model.params["pair.fc2.b"].values[np.argsort(perm)]
     relabeled = [PairTarget(t.i, t.j, int(perm[t.class_id])) for t in targets]
     fused2 = model.fuse_and_attend(model.encode_tokens(ids), labels)
-    loss2 = masked_loss(model.pair_logits(fused2, [(t.i, t.j) for t in relabeled]), relabeled).item()
+    loss2 = float(masked_loss(model.pair_logits(fused2, [(t.i, t.j) for t in relabeled]), relabeled).values)
     assert loss2 == pytest.approx(loss, rel=1e-12)
 
 

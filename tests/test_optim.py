@@ -42,7 +42,7 @@ def test_adam_quadratic_loss_decreases_after_warmup():
     for step in range(100):
         diff = ag.add(w, ag.Tensor(-target))
         loss = total(ag.mul(diff, diff))
-        losses.append(loss.item())
+        losses.append(float(loss.values))
         ag.backward(loss)
         adam_step(store, lr=lr_at(schedule, step))
     tail = losses[10:]

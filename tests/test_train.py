@@ -1,7 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from medrex import autograd as ag
 from medrex.evaluate import evaluate
+from medrex.model import BaselinePairModel, PairwiseREModel
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
@@ -9,10 +15,22 @@ from medrex.train import (
     InferenceBundle,
     TrainConfig,
     TrainingError,
+    _baseline_terms,
+    _fit,
+    _model_config,
+    _pairwise_terms,
+    _prepare_segments,
     cost_report,
     load_bundle,
     save_bundle,
     train,
+)
+
+from .conftest import (
+    accumulate_copying_every_first_gradient,
+    baseline_batch_loss,
+    pairwise_batch_loss,
+    whole_batch_fit,
 )
 
 TINY = dict(d_model=16, encoder_layers=1, encoder_heads=2, label_emb_dim=8,
@@ -268,3 +286,109 @@ def test_float32_parameters_survive_a_bundle_roundtrip_bit_exactly(tmp_path, sma
         q = loaded.model.params[name]
         assert p.values.dtype == q.values.dtype == np.float32
         assert p.values.tobytes() == q.values.tobytes(), name
+
+
+def _segments_and_model_config(corpus, config):
+    encoded, vocab, class_map, _ = _prepare_segments(corpus, CORP_HUS, config)
+    return encoded, _model_config(vocab, class_map, CORP_HUS, config, encoded, TINY)
+
+
+def _fit_state(model, run_log) -> dict:
+    """Parameters and Adam moments as bytes, plus the run log: what must match bit for bit."""
+    store = model.params
+    names = [name for name, _ in store.items()]
+    return {
+        "params": [store[name].values.tobytes() for name in names],
+        "m": [store._m[name].tobytes() for name in names],
+        "v": [store._v[name].tobytes() for name in names],
+        "run_log": [(rec["step"], rec["lr"], rec["loss"], rec["forwards"]) for rec in run_log],
+    }
+
+
+def _per_term_and_whole_batch(model_class, encoded, model_config, config, oracle_accumulate):
+    """Train two fresh models alike: one with ``_fit``, one with the whole-batch oracle loop."""
+    terms, batch_loss = {
+        PairwiseREModel: (lambda m: _pairwise_terms(m, config), lambda m: pairwise_batch_loss(m, config)),
+        BaselinePairModel: (_baseline_terms, baseline_batch_loss),
+    }[model_class]
+    with ag.float32_compute():
+        model = model_class(model_config)
+        run_log, _ = _fit(model, encoded, config, terms(model))
+        got = _fit_state(model, run_log)
+        oracle = model_class(model_config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ag, "_accumulate", oracle_accumulate)
+            want = _fit_state(oracle, whole_batch_fit(oracle, encoded, config, batch_loss(oracle)))
+    return got, want
+
+
+@pytest.mark.parametrize("oracle_accumulate", [
+    # the earlier form in full: whole-batch graph and a copy of every first gradient
+    accumulate_copying_every_first_gradient,
+    # the loop change alone, with the copy elision applied on both sides
+    ag._accumulate,
+])
+def test_per_segment_backward_matches_the_whole_batch_graph_with_a_short_last_batch(small_corpus, oracle_accumulate):
+    config = TrainConfig(epochs=2, seed=4, batch_size=3, peak_lr=1e-3, null_class_weight=0.5)
+    encoded, model_config = _segments_and_model_config(small_corpus, config)
+    assert len(encoded) % config.batch_size != 0
+    got, want = _per_term_and_whole_batch(PairwiseREModel, encoded, model_config, config, oracle_accumulate)
+    assert got == want
+
+
+def test_per_segment_backward_matches_the_whole_batch_graph_at_batch_size_one(small_corpus):
+    config = TrainConfig(epochs=1, seed=6, batch_size=1, peak_lr=1e-3)
+    encoded, model_config = _segments_and_model_config(small_corpus, config)
+    got, want = _per_term_and_whole_batch(
+        PairwiseREModel, encoded[:8], model_config, config, accumulate_copying_every_first_gradient)
+    assert len(got["run_log"]) == 8
+    assert got == want
+
+
+def test_per_pair_backward_matches_the_whole_batch_graph_for_the_baseline(small_corpus):
+    config = TrainConfig(epochs=1, seed=2, batch_size=2, peak_lr=1e-3)
+    encoded, model_config = _segments_and_model_config(small_corpus, config)
+    got, want = _per_term_and_whole_batch(
+        BaselinePairModel, encoded[:3], model_config, config, accumulate_copying_every_first_gradient)
+    assert len(got["run_log"]) == 2
+    assert got == want
+
+
+@settings(max_examples=8, deadline=None)
+@given(batch_size=st.integers(1, 5), order=st.permutations(range(6)), seed=st.integers(0, 3))
+def test_per_segment_backward_matches_the_whole_batch_graph_for_any_batching(batch_size, order, seed):
+    corpus = generate_corpus(GenConfig(seed=7, doc_count=3))
+    config = TrainConfig(epochs=1, seed=seed, batch_size=batch_size, peak_lr=1e-3)
+    encoded, model_config = _segments_and_model_config(corpus, config)
+    encoded = [encoded[i] for i in order]
+    got, want = _per_term_and_whole_batch(PairwiseREModel, encoded, model_config, config, ag._accumulate)
+    assert got == want
+
+
+def test_each_segment_graph_is_freed_before_the_next_segment_forward(monkeypatch, small_corpus):
+    from medrex import train as train_module
+
+    previous_logits: list[weakref.ref] = []
+    alive_at_next_forward: list[bool] = []
+    original_forward = PairwiseREModel.forward
+
+    def spying_forward(self, *args, **kwargs):
+        if previous_logits:
+            alive_at_next_forward.append(previous_logits[-1]() is not None)
+        logits = original_forward(self, *args, **kwargs)
+        previous_logits.append(weakref.ref(logits))
+        return logits
+
+    grads_at_step: list[bool] = []
+    original_step = train_module.adam_step
+
+    def spying_step(store, lr):
+        grads_at_step.append(all(p.grad is not None for _, p in store.items()))
+        return original_step(store, lr)
+
+    monkeypatch.setattr(PairwiseREModel, "forward", spying_forward)
+    monkeypatch.setattr(train_module, "adam_step", spying_step)
+    result = train(small_corpus, CORP_HUS, TrainConfig(epochs=1, seed=0, batch_size=4), model_overrides=TINY)
+    assert len(alive_at_next_forward) == result.model.encoder_forwards - 1
+    assert not any(alive_at_next_forward)
+    assert len(grads_at_step) == len(result.run_log) and all(grads_at_step)
