@@ -19,6 +19,9 @@ closure, so its activations and saved arrays live only as long as a later
 backward can read them. Only leaf gradients (parameters and user tensors
 with ``requires_grad``) survive.
 
+Finiteness is always checked: a NaN or Inf in an op's output or in a
+gradient ``backward`` pushes raises ``FloatingPointError``.
+
 The op set is intentionally small: exactly what the relation-extraction
 models need, with two fused ops where a layer is hot (``linear`` for
 ``x @ w + b``, ``pair_linear`` for the factorised pair layer). No views, no
@@ -35,7 +38,6 @@ import math
 import numpy as np
 
 _grad_enabled = True
-_debug_checks = True
 _dtype = np.dtype(np.float64)
 
 
@@ -45,16 +47,6 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Misuse of the autograd graph (non-scalar backward, reused graph)."""
-
-
-def set_debug_checks(flag: bool) -> None:
-    """Toggle the NaN/Inf assertion applied to every op output."""
-    global _debug_checks
-    _debug_checks = bool(flag)
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
 
 
 @contextlib.contextmanager
@@ -112,7 +104,7 @@ def as_tensor(x) -> Tensor:
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
     # element-wise, not a sum: a float32 sum of finite values can overflow
-    if _debug_checks and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -360,6 +352,7 @@ def row_softmax(x: Tensor) -> Tensor:
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_LAYER_NORM_EPS = 1e-5
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -384,7 +377,7 @@ def gelu(x: Tensor) -> Tensor:
     return _node(values, (x,), backprop, "gelu")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalise the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.values.shape[-1]
@@ -395,7 +388,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = np.add.reduce(x.values, axis=-1, keepdims=True) / n
     centred = x.values - mu
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     normed = centred * inv
     values = normed * gain.values + bias.values
 
@@ -532,7 +525,7 @@ def backward(loss: Tensor) -> None:
         node = order.pop()
         if node._backprop is not None:
             if node.grad is not None:
-                if _debug_checks and not np.isfinite(node.grad).all():
+                if not np.isfinite(node.grad).all():
                     raise FloatingPointError("non-finite gradient encountered during backward")
                 node._backprop(node.grad)
             node.grad = None

@@ -144,9 +144,9 @@ def _self_attention(
     k = ag.linear(x, store[f"{name}.wk"], store[f"{name}.bk"])
     v = ag.linear(x, store[f"{name}.wv"], store[f"{name}.bv"])
     qh = ag.transpose(ag.reshape(q, (seq, heads, head_dim)), (1, 0, 2))
-    kh = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 0, 2))
+    kh_t = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 2, 0))
     vh = ag.transpose(ag.reshape(v, (seq, heads, head_dim)), (1, 0, 2))
-    scores = ag.scale(ag.matmul(qh, ag.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
+    scores = ag.scale(ag.matmul(qh, kh_t), 1.0 / np.sqrt(head_dim))
     weights = ag.dropout(ag.row_softmax(scores), dropout_p, rng, train)
     mixed = ag.matmul(weights, vh)
     merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (seq, width))
@@ -270,19 +270,17 @@ def masked_loss(
     """Mean cross entropy over entity-head pair rows.
 
     Pairs involving non-entity tokens are never materialised, so no masking
-    arithmetic is needed: the rows are the mask. An optional multiplicative
-    weight can downweight null-class rows.
+    arithmetic is needed: the rows are the mask. Each row's loss is multiplied
+    by its class weight: ``null_class_weight`` for null-class rows, 1 for the
+    rest (multiplying by 1 is exact, for the loss and for its gradient).
     """
     if len(targets) == 0:
         raise ModelError("masked_loss needs at least one pair target (segments carry >= 2 entities)")
     if logits.shape[0] != len(targets):
         raise ModelError(f"{logits.shape[0]} logit rows for {len(targets)} targets")
     class_ids = np.asarray([t.class_id for t in targets], dtype=np.intp)
-    losses = ag.cross_entropy(logits, class_ids)
-    if null_class_weight != 1.0:
-        weights = np.where(class_ids == 0, null_class_weight, 1.0)
-        losses = ag.mul(losses, ag.Tensor(weights))
-    return ag.reduce_mean(losses)
+    weights = np.where(class_ids == 0, null_class_weight, 1.0)
+    return ag.reduce_mean(ag.mul(ag.cross_entropy(logits, class_ids), ag.Tensor(weights)))
 
 
 class BaselinePairModel:
@@ -355,12 +353,6 @@ class PredictedRelation:
     prob: float
 
 
-def _softmax_rows(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 @ag.float32_compute()
 def predict_relations(
     model: PairwiseREModel,
@@ -378,8 +370,10 @@ def predict_relations(
     by default, or externally provided ones (upstream tagger output). When
     windows overlap, the same entity pair can be scored several times;
     the candidate with the highest probability wins, earlier windows winning
-    ties, and the final entity-level relation list is deduplicated. The
-    forward pass computes in float32, whatever the parameters' dtype.
+    ties, and the final entity-level relation list is deduplicated. A window
+    with more tokens than ``max_positions`` is scored in pieces that fit
+    (``make_segments``'s ``max_tokens``). The forward pass computes in
+    float32, whatever the parameters' dtype.
     """
     if len(class_map) != model.config.num_classes:
         raise ModelError(
@@ -389,11 +383,11 @@ def predict_relations(
     work_doc = Document(doc.doc_id, doc.text, entity_list, ())
     best: dict[tuple[str, str], tuple[float, str]] = {}
     entity_by_id = {e.id: e for e in entity_list}
-    for segment in make_segments(work_doc, window_chars, stride_chars):
+    for segment in make_segments(work_doc, window_chars, stride_chars, model.config.max_positions):
         encoded = encode_segment(segment, vocab, schema, (), class_map)
         with ag.no_grad():
             logits = model.forward(encoded, train=False)
-        probs = _softmax_rows(logits.values)
+            probs = ag.row_softmax(logits).values
         class_ids, top = probs.argmax(axis=1), probs.max(axis=1)
         pairs = ordered_entity_pairs(len(encoded.entities))
         for row in np.flatnonzero(class_ids).tolist():

@@ -7,7 +7,10 @@ boundaries are snapped outward to token boundaries so no token is split;
 the stored bounds are the snapped ones and may exceed the nominal size by
 at most one token overhang per side.
 
-Windows containing fewer than two fully contained entities are dropped.
+Prediction also caps a window's tokens at the model's ``max_positions``:
+a longer window is cut into overlapping pieces of at most that many tokens.
+Windows and pieces containing fewer than two fully contained entities are
+dropped.
 Relations whose endpoints never co-occur inside one emitted window are
 counted as unreachable in the corpus report.
 """
@@ -76,7 +79,17 @@ def window_starts(text_length: int, window_chars: int, stride_chars: int) -> lis
     return starts
 
 
-def make_segments(doc: Document, window_chars: int, stride_chars: int) -> list[Segment]:
+def make_segments(
+    doc: Document, window_chars: int, stride_chars: int, max_tokens: int | None = None
+) -> list[Segment]:
+    """The document's windows that hold at least two entities, in window order.
+
+    ``max_tokens`` caps a segment's length: a window with more tokens is cut
+    into pieces at ``window_starts(len(tokens), max_tokens, max(1, max_tokens // 2))``.
+    Each piece spans its first token's start to its last token's end, holds
+    the entities fully inside that span, and is dropped, like a window, when
+    it holds fewer than two.
+    """
     tokens = tokenize(doc.text)
     entities = sorted(
         (e for e in doc.entities if e.etype != OTHER_TYPE),
@@ -91,10 +104,15 @@ def make_segments(doc: Document, window_chars: int, stride_chars: int) -> list[S
             snapped_end = max(nominal_end, inside_tokens[-1].end)
         else:
             snapped_start, snapped_end = nominal_start, nominal_end
-        contained = tuple(e for e in entities if e.start >= snapped_start and e.end <= snapped_end)
-        if len(contained) < 2:
-            continue
-        segments.append(Segment(doc.doc_id, snapped_start, snapped_end, inside_tokens, contained))
+        spans = [(snapped_start, snapped_end, inside_tokens)]
+        if max_tokens is not None and len(inside_tokens) > max_tokens:
+            starts = window_starts(len(inside_tokens), max_tokens, max(1, max_tokens // 2))
+            pieces = [inside_tokens[s:s + max_tokens] for s in starts]
+            spans = [(piece[0].start, piece[-1].end, piece) for piece in pieces]
+        for start, end, piece in spans:
+            contained = tuple(e for e in entities if e.start >= start and e.end <= end)
+            if len(contained) >= 2:
+                segments.append(Segment(doc.doc_id, start, end, piece, contained))
     return segments
 
 

@@ -190,6 +190,45 @@ def dropout_with_float_mask(x: ag.Tensor, p: float, rng: np.random.Generator) ->
     return ag._node(x.values * mask, (x,), backprop, "dropout")
 
 
+def self_attention_with_two_key_transposes(store, name, x, heads, dropout_p, rng, train):
+    """``model._self_attention`` in its earlier form, which built kᵀ with two transposes.
+
+    The oracle for ``_self_attention``, which builds kᵀ with one.
+    """
+    seq, width = x.shape
+    head_dim = width // heads
+    q = ag.linear(x, store[f"{name}.wq"], store[f"{name}.bq"])
+    k = ag.linear(x, store[f"{name}.wk"], store[f"{name}.bk"])
+    v = ag.linear(x, store[f"{name}.wv"], store[f"{name}.bv"])
+    qh = ag.transpose(ag.reshape(q, (seq, heads, head_dim)), (1, 0, 2))
+    kh = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 0, 2))
+    vh = ag.transpose(ag.reshape(v, (seq, heads, head_dim)), (1, 0, 2))
+    scores = ag.scale(ag.matmul(qh, ag.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
+    weights = ag.dropout(ag.row_softmax(scores), dropout_p, rng, train)
+    mixed = ag.matmul(weights, vh)
+    merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (seq, width))
+    return ag.linear(merged, store[f"{name}.wo"], store[f"{name}.bo"])
+
+
+def unweighted_masked_loss(logits: ag.Tensor, targets) -> ag.Tensor:
+    """``model.masked_loss`` in its earlier form at null-class weight 1, which skipped the weight multiply.
+
+    The oracle for ``masked_loss``, which always multiplies by the class weights.
+    """
+    class_ids = np.asarray([t.class_id for t in targets], dtype=np.intp)
+    return ag.reduce_mean(ag.cross_entropy(logits, class_ids))
+
+
+def softmax_rows(values: np.ndarray) -> np.ndarray:
+    """The plain-numpy softmax that prediction once ranked rows with.
+
+    The oracle for ``ag.row_softmax``, which prediction now uses instead.
+    """
+    shifted = values - values.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 @pytest.fixture
 def corp_hus():
     return CORP_HUS

@@ -1,15 +1,20 @@
-"""Every name that ``src/medrex`` defines is used by the program or the benchmark.
+"""Every name and defaulted parameter that ``src/medrex`` defines is used by the program or the benchmark.
 
 A module-level function or class counts as used when its name appears, as a
 whole word, anywhere in ``src/medrex`` or ``perfbench`` outside its own
 definition line. A method (other than a dunder) counts as used when
-``.name`` appears there. Tests do not count: code that only tests reach
-belongs in ``tests/``.
+``.name`` appears there. A defaulted parameter counts as used when some call
+there of a function or method of that name passes it, by keyword or by
+position; a call with ``*args`` or ``**kwargs`` may pass every parameter, and
+a call of a class passes ``__init__``'s. Tests do not count: code that only
+tests reach belongs in ``tests/``, and a default no caller changes is a
+constant.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import pathlib
 import re
 
@@ -54,3 +59,73 @@ def unreferenced_names() -> list[str]:
 def test_every_src_name_has_a_caller_in_src_or_perfbench():
     dead = unreferenced_names()
     assert not dead, "defined in src/medrex but used by neither src/medrex nor perfbench:\n" + "\n".join(dead)
+
+
+# Parameters that keep a default although the program never passes them: the
+# command-line entry point takes argv from tests and from sys.argv alike.
+KNOB_EXEMPT = {("cli.py", "main", "argv")}
+
+
+def _defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
+    """(where, called name, parameter, positional slot or None) for each defaulted parameter.
+
+    Module-level functions and methods are covered; a method's slots do not
+    count ``self``/``cls``, and ``__init__`` is called by its class's name.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [(node, node.name, False) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    defs.append((item, cls.name if item.name == "__init__" else item.name, not static))
+        for fn, called, bound in defs:
+            positional = fn.args.posonlyargs + fn.args.args
+            slots = [(arg, positional.index(arg) - bound) for arg in positional[len(positional) - len(fn.args.defaults):]]
+            slots += [(arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            for arg, slot in slots:
+                if (path.name, fn.name, arg.arg) not in KNOB_EXEMPT:
+                    found.append((f"{path.name}:{fn.lineno} {fn.name}", called, arg.arg, slot))
+    return found
+
+
+def _calls() -> dict[str, list[tuple[float, set[str] | None]]]:
+    """Per called name: (positional arguments, keyword names or None for ``**kwargs``) of each call."""
+    calls: dict[str, list[tuple[float, set[str] | None]]] = {}
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            # a starred argument may fill every positional slot
+            n_positional = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((n_positional, None if None in keywords else keywords))
+    return calls
+
+
+def unpassed_parameters() -> list[str]:
+    calls = _calls()
+    unpassed = []
+    for where, called, param, slot in _defaulted_parameters():
+        passed = any(
+            keywords is None or param in keywords or (slot is not None and n_positional > slot)
+            for n_positional, keywords in calls.get(called, ())
+        )
+        if not passed:
+            unpassed.append(f"{where}({param})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_by_src_or_perfbench():
+    unpassed = unpassed_parameters()
+    assert not unpassed, (
+        "defaulted parameters that no call in src/medrex or perfbench passes "
+        "(make them constants):\n" + "\n".join(unpassed)
+    )

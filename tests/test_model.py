@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from medrex import autograd as ag
+from medrex import model as model_module
 from medrex.model import (
     BaselinePairModel,
     ModelConfig,
@@ -20,7 +22,12 @@ from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
 from medrex.windowing import PairTarget, RelationClassMap, Vocabulary, encode_segment, segment_corpus
 
-from .conftest import concat_pair_logits
+from .conftest import (
+    concat_pair_logits,
+    self_attention_with_two_key_transposes,
+    softmax_rows,
+    unweighted_masked_loss,
+)
 
 
 def _config(**overrides):
@@ -376,3 +383,90 @@ def test_predict_relations_class_map_size_checked():
     model = PairwiseREModel(cfg)
     with pytest.raises(ModelError, match="class"):
         predict_relations(model, doc, CORP_HUS, vocab, RelationClassMap(CORP_HUS), 300, 150)
+
+
+def _densest_segment():
+    gen = GenConfig(seed=7, doc_count=6)
+    docs, schema = generate_corpus(gen), gen.schema()
+    vocab, class_map = Vocabulary.build(docs), RelationClassMap(schema)
+    segments, _ = segment_corpus(docs, 300, 150)
+    widest = max(segments, key=lambda seg: len(seg.entities))
+    relations = {d.doc_id: d.relations for d in docs}[widest.doc_id]
+    return encode_segment(widest, vocab, schema, relations, class_map), len(vocab), len(class_map)
+
+
+def _training_step_outputs(segment, vocab_size, num_classes, loss_fn) -> list[np.ndarray]:
+    """Logits, loss and every parameter gradient of one training-mode forward (dropout on) and backward."""
+    model = PairwiseREModel(_config(
+        vocab_size=vocab_size, num_classes=num_classes, max_positions=len(segment.token_ids), dropout=0.1,
+    ))
+    logits = model.forward(segment, train=True)
+    loss = loss_fn(logits, segment.targets)
+    outputs = [logits.values.copy(), loss.values.copy()]
+    ag.backward(loss)
+    return outputs + [p.grad for _, p in model.params.items()]
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_attention_matches_its_two_transpose_form_bit_for_bit(compute, monkeypatch):
+    segment, vocab_size, num_classes = _densest_segment()
+    with compute():
+        got = _training_step_outputs(segment, vocab_size, num_classes, masked_loss)
+        monkeypatch.setattr(model_module, "_self_attention", self_attention_with_two_key_transposes)
+        want = _training_step_outputs(segment, vocab_size, num_classes, masked_loss)
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_masked_loss_at_weight_one_matches_the_unweighted_form_bit_for_bit(compute):
+    segment, vocab_size, num_classes = _densest_segment()
+    with compute():
+        got = _training_step_outputs(segment, vocab_size, num_classes, masked_loss)
+        want = _training_step_outputs(segment, vocab_size, num_classes, unweighted_masked_loss)
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_row_softmax_matches_the_numpy_softmax_bit_for_bit(compute):
+    rng = np.random.default_rng(11)
+    with compute():
+        dtype = ag.compute_dtype()
+        for scale in (1e-3, 1.0, 8.0, 60.0):
+            values = (rng.standard_normal((40, 9)) * scale).astype(dtype)
+            _assert_same_bits([ag.row_softmax(ag.Tensor(values)).values], [softmax_rows(values)])
+
+
+def _comma_dense_doc() -> Document:
+    """Two drug/dosage pairs 250 commas apart: one 300-character window holds 256 tokens."""
+    head, tail = "aspirine 500 mg", "doliprane 1 g"
+    text = head + " " + "," * 250 + " " + tail
+    start = len(text) - len(tail)
+    return Document(
+        "dense", text,
+        (
+            Entity("T1", "Drug", 0, 8, "aspirine"),
+            Entity("T2", "Dosage", 9, 15, "500 mg"),
+            Entity("T3", "Drug", start, start + 9, "doliprane"),
+            Entity("T4", "Dosage", start + 10, start + 13, "1 g"),
+        ),
+        (),
+    )
+
+
+def test_predict_relations_scores_a_window_denser_than_max_positions_in_pieces():
+    doc = _comma_dense_doc()
+    vocab = Vocabulary.build([doc])
+    class_map = RelationClassMap(CORP_HUS)
+    model = PairwiseREModel(_config(vocab_size=len(vocab), num_classes=len(class_map), max_positions=64))
+    model.params["pair.fc2.b"].values[1] = 100.0  # every scored pair predicts class 1
+    predictions = predict_relations(model, doc, CORP_HUS, vocab, class_map, 300, 150)
+    # only the pairs that share a 64-token piece are scored; the two drugs lie ~250 tokens apart
+    assert {(p.source.id, p.target.id) for p in predictions} == {("T1", "T2"), ("T2", "T1"), ("T3", "T4"), ("T4", "T3")}
+    assert all(p.source in doc.entities and p.target in doc.entities for p in predictions)

@@ -129,6 +129,41 @@ def test_finite_diff_check_catches_wrong_gradient():
     assert result.max_rel_error > 0.1
 
 
+def test_finite_diff_check_raises_when_a_probe_overflows():
+    store = ParamStore()
+    w = store.add("w", np.array([1.797685]))
+    ag.mul(ag.Tensor([1e308]), w)  # the base loss is finite; only the +eps probe overflows
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="'mul'"):
+        finite_diff_check(lambda: total(ag.mul(ag.Tensor([1e308]), w)), store, samples_per_param=1)
+    np.testing.assert_array_equal(w.values, [1.797685])
+
+
+def test_finite_diff_check_reports_a_nan_probe_of_a_hand_built_node_as_the_worst():
+    store = ParamStore()
+    root = store.add("root", np.array([4e-6]))
+    square = store.add("square", np.array([0.5, -1.5]))
+
+    def loss():
+        # sqrt(root) + sum(square^2), built by hand so no op checks the -eps probe's sqrt of a negative
+        out = ag.Tensor(np.sqrt(root.values[0]) + (square.values ** 2).sum())
+        out.requires_grad = True
+        out._parents = (root, square)
+
+        def backprop(g):
+            root.grad = g * 0.5 / np.sqrt(root.values)
+            square.grad = g * 2.0 * square.values
+
+        out._backprop = backprop
+        return out
+
+    with np.errstate(invalid="ignore"):
+        result = finite_diff_check(loss, {"root": root, "square": square}, samples_per_param=2)
+    # the NaN coordinate comes first and the exact ones after it do not displace it
+    assert not result.max_rel_error < 1e-4, str(result)
+    assert (result.worst_param, result.worst_index, result.coords_checked) == ("root", 0, 3)
+    np.testing.assert_array_equal(root.values, [4e-6])
+
+
 def test_param_store_snapshot_roundtrip():
     store = ParamStore()
     store.add("a", np.arange(4.0))

@@ -392,3 +392,20 @@ def test_each_segment_graph_is_freed_before_the_next_segment_forward(monkeypatch
     assert len(alive_at_next_forward) == result.model.encoder_forwards - 1
     assert not any(alive_at_next_forward)
     assert len(grads_at_step) == len(result.run_log) and all(grads_at_step)
+
+
+def test_n2c2_profile_trains_and_predicts_held_out_documents():
+    gen = GenConfig(seed=5, doc_count=16, schema_name="n2c2")
+    docs, schema = generate_corpus(gen), gen.schema()
+    train_docs, held_out = docs[:10], docs[10:]
+    result = train(train_docs, schema, TrainConfig(epochs=2, seed=0, peak_lr=1e-3), model_overrides=TINY)
+    assert result.window_report.segments_emitted > 0
+    bundle = InferenceBundle(result.model, result.vocab, result.class_map, schema, 300, 150)
+    predictions = bundle.predict_corpus(held_out)
+    assert set(predictions) == {doc.doc_id for doc in held_out}
+    assert any(predictions.values())
+    for doc in held_out:
+        for p in predictions[doc.doc_id]:
+            assert p.source in doc.entities and p.target in doc.entities
+            assert p.rtype in schema.relation_types
+    evaluate(held_out, predictions, "strict", schema)

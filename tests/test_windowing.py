@@ -324,3 +324,53 @@ def test_segment_corpus_report_and_determinism():
 def test_pair_cardinality_identity():
     for m in range(2, 8):
         assert len(ordered_entity_pairs(m)) == m * (m - 1)
+
+
+def test_a_token_cap_above_every_window_leaves_segments_unchanged():
+    rng = random.Random(99)
+    for _ in range(40):
+        doc = _random_doc(rng)
+        window = rng.choice([60, 120, 300])
+        stride = rng.choice([window // 2, window])
+        segments = make_segments(doc, window, stride)
+        longest = max((len(s.tokens) for s in segments), default=1)
+        assert make_segments(doc, window, stride, None) == segments
+        assert make_segments(doc, window, stride, longest) == segments
+
+
+def test_windows_over_the_token_cap_are_cut_into_pieces_that_fit():
+    rng = random.Random(31)
+    split = 0
+    for _ in range(60):
+        doc = _random_doc(rng)
+        window = rng.choice([120, 200, 300])
+        cap = rng.choice([3, 6, 11])
+        tokens = tokenize(doc.text)
+        uncapped = make_segments(doc, window, window // 2)
+        for seg in make_segments(doc, window, window // 2, cap):
+            assert 0 < len(seg.tokens) <= cap
+            first = tokens.index(seg.tokens[0])
+            assert list(seg.tokens) == tokens[first:first + len(seg.tokens)]
+            assert len(seg.entities) >= 2
+            assert all(e in doc.entities and seg.window_start <= e.start and e.end <= seg.window_end
+                       for e in seg.entities)
+            if not any(seg == whole for whole in uncapped):
+                split += 1
+                assert (seg.window_start, seg.window_end) == (seg.tokens[0].start, seg.tokens[-1].end)
+    assert split > 0
+
+
+def test_a_piece_keeps_the_entities_fully_inside_it():
+    text = "aspirine 500 mg , , , , , , doliprane 1 g"
+    doc = Document("d", text, (
+        Entity("T1", "Drug", 0, 8, "aspirine"),
+        Entity("T2", "Dosage", 9, 15, "500 mg"),
+        Entity("T3", "Drug", 28, 37, "doliprane"),
+        Entity("T4", "Dosage", 38, 41, "1 g"),
+    ), ())
+    assert len(tokenize(text)) == 12
+    # pieces start at tokens 0, 2, 4, 6 and 8; the one at 6 ends inside "1 g", so it holds T3 alone and is dropped
+    segments = make_segments(doc, 300, 150, 5)
+    assert [(len(s.tokens), [e.id for e in s.entities]) for s in segments] == [(5, ["T1", "T2"]), (4, ["T3", "T4"])]
+    assert (segments[0].window_start, segments[0].window_end) == (0, 19)
+    assert (segments[1].window_start, segments[1].window_end) == (26, len(text))
