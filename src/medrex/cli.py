@@ -162,6 +162,14 @@ def _load_entity_documents(path: str, schema) -> dict[str, Document | None]:
     return docs
 
 
+def _require_gold_text(gold_docs: list[Document], docs: dict[str, Document | None], flag: str) -> None:
+    """Offsets index one text: a document whose text differs from its gold text raises StandoffError."""
+    for gold in gold_docs:
+        doc = docs.get(gold.doc_id)
+        if doc is not None and doc.text != gold.text:
+            raise StandoffError(f"document {gold.doc_id}: its {flag} text differs from its --gold text")
+
+
 def _relation_row(doc_id: str, p: PredictedRelation) -> str:
     return json.dumps({
         "doc_id": doc_id,
@@ -333,6 +341,7 @@ def _cmd_evaluate(args) -> int:
     schema = resolve_profile(options.get("schema"))
     gold_docs = read_corpus_dir(gold_dir, schema, strict=True)
     pred_docs = _load_entity_documents(pred_dir, schema)
+    _require_gold_text(gold_docs, pred_docs, "--pred")
     predictions: dict[str, list[PredictedRelation]] = {}
     for doc_id, pred_doc in sorted(pred_docs.items()):
         if pred_doc is None:
@@ -361,6 +370,7 @@ def _cmd_end_to_end(args) -> int:
     missing = sorted(d.doc_id for d in gold_docs if entity_docs.get(d.doc_id) is None)
     if missing:
         raise FileNotFoundError(f"missing entity files for documents: {', '.join(missing)}")
+    _require_gold_text(gold_docs, entity_docs, "--data")
     entities_map = {doc_id: list(d.entities) for doc_id, d in entity_docs.items() if d is not None}
     predictions = bundle.predict_corpus(gold_docs, entities_map)
     outputs = _write_prediction_dir(out, gold_docs, entities_map, predictions)
@@ -415,7 +425,7 @@ def _cmd_grad_check(args) -> int:
     model, segment = grad_check_fixture(sizes["d_model"], sizes["seq"], sizes["entities"], seed)
     started = time.perf_counter()
     result = finite_diff_check(
-        lambda: masked_loss(model.forward(segment), segment.targets),
+        lambda: masked_loss(model.forward(segment), segment.class_ids),
         model.params,
         samples_per_param=samples,
         seed=seed,
@@ -506,27 +516,29 @@ OPTIONS = (
     Option("ckpt", str, None, "checkpoint file from train", ("predict", "end-to-end")),
     Option("gold", str, None, "gold corpus directory", ("evaluate", "end-to-end")),
     Option("pred", str, None, "predicted corpus directory", ("evaluate",)),
-    Option("docs", int, 50, "number of documents", ("generate",)),
-    Option("multi_frame_rate", float, 0.04, "fraction of drugs with two regimen frames", ("generate",)),
-    Option("context_relation_rate", float, 0.5, "fraction of date links with contextual types", ("generate",)),
-    Option("filler_rate", float, 0.25, "fraction of entity-free sentences", ("generate",)),
-    Option("sentences_min", int, 3, "min sentences per doc", ("generate",)),
-    Option("sentences_max", int, 8, "max sentences per doc", ("generate",)),
+    Option("docs", int, GenConfig.doc_count, "number of documents", ("generate",)),
+    Option("multi_frame_rate", float, GenConfig.multi_frame_rate, "fraction of drugs with two regimen frames",
+           ("generate",)),
+    Option("context_relation_rate", float, GenConfig.context_relation_rate,
+           "fraction of date links with contextual types", ("generate",)),
+    Option("filler_rate", float, GenConfig.filler_rate, "fraction of entity-free sentences", ("generate",)),
+    Option("sentences_min", int, GenConfig.sentences_min, "min sentences per doc", ("generate",)),
+    Option("sentences_max", int, GenConfig.sentences_max, "max sentences per doc", ("generate",)),
     Option("lax", bool, False, "tolerate unknown types in input", ("stats",)),
     Option("mode", str, "add-same-frame", "write a SAME_FRAME-augmented corpus or a frame report", ("convert-frames",),
            choices=("add-same-frame", "report")),
     Option("mode", str, "both", "matching mode", ("evaluate",), choices=("strict", "lenient", "both")),
     Option("label_source", str, "gold", "entity labels: gold (strict parse) or provided (lax entity files)",
            ("predict",), choices=("gold", "provided")),
-    Option("window", int, 300, "sliding window size in characters", FIT),
-    Option("stride", int, None, "window stride in characters", FIT, shown="window/2"),
-    Option("epochs", int, 60, "training epochs", ("train",)),
+    Option("window", int, TrainConfig.window_chars, "sliding window size in characters", FIT),
+    Option("stride", int, TrainConfig.stride_chars, "window stride in characters", FIT, shown="window/2"),
+    Option("epochs", int, TrainConfig.epochs, "training epochs", ("train",)),
     Option("epochs", int, 1, "training epochs of each model", ("cost-report",)),
-    Option("batch_size", int, 10, "segments per step", FIT),
-    Option("lr", float, 1e-4, "peak learning rate", FIT),
-    Option("warmup_fraction", float, 0.1, "fraction of steps spent ramping up", FIT),
-    Option("null_weight", float, 1.0, "multiplicative weight on no-relation pairs", FIT),
-    Option("frame_augmentation", bool, False,
+    Option("batch_size", int, TrainConfig.batch_size, "segments per step", FIT),
+    Option("lr", float, TrainConfig.peak_lr, "peak learning rate", FIT),
+    Option("warmup_fraction", float, TrainConfig.warmup_fraction, "fraction of steps spent ramping up", FIT),
+    Option("null_weight", float, TrainConfig.null_class_weight, "multiplicative weight on no-relation pairs", FIT),
+    Option("frame_augmentation", bool, TrainConfig.frame_augmentation,
            "train with complete per-frame SAME_FRAME graphs as an extra class", FIT),
     *(Option(name, type(getattr(ModelConfig, name)), None, help, FIT, shown=str(getattr(ModelConfig, name)))
       for name, help in MODEL_OPTION_HELP.items()),

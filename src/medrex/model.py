@@ -32,8 +32,9 @@ from .optim import ParamStore
 from .schema import SchemaProfile
 from .standoff import Document, Entity
 from .windowing import (
+    MARKER_TOKENS,
+    SPECIAL_TOKENS,
     EncodedSegment,
-    PairTarget,
     RelationClassMap,
     Vocabulary,
     encode_segment,
@@ -41,8 +42,8 @@ from .windowing import (
     ordered_entity_pairs,
 )
 
-# Fixed vocabulary slots for the baseline's pair markers (see windowing.SPECIAL_TOKENS).
-E1_OPEN_ID, E1_CLOSE_ID, E2_OPEN_ID, E2_CLOSE_ID = 1, 2, 3, 4
+# The baseline's pair markers: their reserved vocabulary slots.
+E1_OPEN_ID, E1_CLOSE_ID, E2_OPEN_ID, E2_CLOSE_ID = map(SPECIAL_TOKENS.index, MARKER_TOKENS)
 
 
 class ModelError(ValueError):
@@ -256,17 +257,15 @@ class PairwiseREModel:
         return ag.linear(hidden, store["pair.fc2.w"], store["pair.fc2.b"])
 
     def forward(self, segment: EncodedSegment, train: bool = False) -> ag.Tensor:
-        """Logits for every ordered entity-head pair, aligned with segment.targets."""
+        """Logits for every ordered entity-head pair, aligned with segment.class_ids."""
         contextual = self.encode_tokens(segment.token_ids, train=train)
         fused = self.fuse_and_attend(contextual, segment.label_ids, train=train)
-        return self.pair_logits(fused, [(t.i, t.j) for t in segment.targets], train=train)
+        heads = [first for first, _ in segment.entity_spans]
+        pairs = [(heads[a], heads[b]) for a, b in ordered_entity_pairs(len(heads))]
+        return self.pair_logits(fused, pairs, train=train)
 
 
-def masked_loss(
-    logits: ag.Tensor,
-    targets: tuple[PairTarget, ...] | list[PairTarget],
-    null_class_weight: float = 1.0,
-) -> ag.Tensor:
+def masked_loss(logits: ag.Tensor, class_ids: tuple[int, ...], null_class_weight: float = 1.0) -> ag.Tensor:
     """Mean cross entropy over entity-head pair rows.
 
     Pairs involving non-entity tokens are never materialised, so no masking
@@ -274,11 +273,11 @@ def masked_loss(
     by its class weight: ``null_class_weight`` for null-class rows, 1 for the
     rest (multiplying by 1 is exact, for the loss and for its gradient).
     """
-    if len(targets) == 0:
-        raise ModelError("masked_loss needs at least one pair target (segments carry >= 2 entities)")
-    if logits.shape[0] != len(targets):
-        raise ModelError(f"{logits.shape[0]} logit rows for {len(targets)} targets")
-    class_ids = np.asarray([t.class_id for t in targets], dtype=np.intp)
+    class_ids = np.asarray(class_ids, dtype=np.intp)
+    if class_ids.size == 0:
+        raise ModelError("masked_loss needs at least one pair class (segments carry >= 2 entities)")
+    if logits.shape[0] != class_ids.size:
+        raise ModelError(f"{logits.shape[0]} logit rows for {class_ids.size} pair classes")
     weights = np.where(class_ids == 0, null_class_weight, 1.0)
     return ag.reduce_mean(ag.mul(ag.cross_entropy(logits, class_ids), ag.Tensor(weights)))
 
@@ -425,15 +424,13 @@ def grad_check_fixture(d_model: int, seq: int, n_entities: int, seed: int) -> tu
     label_ids = [0] * seq
     for k, pos in enumerate(heads):
         label_ids[pos] = (k % config.num_entity_types) + 1
-    targets = []
-    for a in range(n_entities):
-        for b in range(n_entities):
-            if a != b:
-                cls = int(rng.integers(0, config.num_classes)) if rng.random() < 0.5 else 0
-                targets.append(PairTarget(heads[a], heads[b], cls))
+    class_ids = tuple(
+        int(rng.integers(0, config.num_classes)) if rng.random() < 0.5 else 0
+        for _ in ordered_entity_pairs(n_entities)
+    )
     segment = EncodedSegment(
         doc_id="grad-check", window_start=0, window_end=seq,
         token_ids=token_ids, label_ids=tuple(label_ids), entities=(),
-        entity_spans=tuple((h, h) for h in heads), targets=tuple(targets),
+        entity_spans=tuple((h, h) for h in heads), class_ids=class_ids,
     )
     return model, segment

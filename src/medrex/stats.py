@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .frames import build_frames
 from .schema import SchemaProfile
@@ -20,14 +20,7 @@ class CorpusStats:
     multi_frame_drug_fraction: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "doc_count": self.doc_count,
-            "entity_total": self.entity_total,
-            "entity_counts": dict(sorted(self.entity_counts.items())),
-            "relation_total": self.relation_total,
-            "relation_counts": dict(sorted(self.relation_counts.items())),
-            "multi_frame_drug_fraction": self.multi_frame_drug_fraction,
-        }
+        return asdict(self)
 
 
 def corpus_stats(corpus: list[Document], schema: SchemaProfile) -> CorpusStats:

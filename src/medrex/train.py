@@ -190,7 +190,7 @@ def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_terms)
 def _pairwise_terms(model: PairwiseREModel, config: TrainConfig):
     """One loss term per segment."""
     return lambda batch: (len(batch), (
-        masked_loss(model.forward(seg, train=True), seg.targets, config.null_class_weight)
+        masked_loss(model.forward(seg, train=True), seg.class_ids, config.null_class_weight)
         for seg in batch
     ))
 
@@ -199,9 +199,9 @@ def _baseline_terms(model: BaselinePairModel):
     """One loss term per ordered entity pair: the baseline re-encodes the segment for each."""
     def batch_terms(batch: list[EncodedSegment]):
         pairs = [
-            (seg, seg.targets[row].class_id, a, b)
+            (seg, class_id, a, b)
             for seg in batch
-            for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities)))
+            for (a, b), class_id in zip(ordered_entity_pairs(len(seg.entities)), seg.class_ids)
         ]
         return len(pairs), (
             ag.reduce_mean(ag.cross_entropy(model.forward_pair(seg, a, b, train=True), [class_id]))
@@ -336,18 +336,7 @@ class CostReport:
         return self.baseline_seconds / self.pairwise_seconds if self.pairwise_seconds else float("inf")
 
     def to_dict(self) -> dict:
-        return {
-            "segments": self.segments,
-            "epochs": self.epochs,
-            "pairwise_forwards": self.pairwise_forwards,
-            "baseline_forwards": self.baseline_forwards,
-            "pairwise_forwards_analytic": self.pairwise_forwards_analytic,
-            "baseline_forwards_analytic": self.baseline_forwards_analytic,
-            "analytic_ratio": self.analytic_ratio,
-            "pairwise_seconds": self.pairwise_seconds,
-            "baseline_seconds": self.baseline_seconds,
-            "measured_ratio": self.measured_ratio,
-        }
+        return {**asdict(self), "analytic_ratio": self.analytic_ratio, "measured_ratio": self.measured_ratio}
 
 
 @ag.float32_compute()

@@ -1,4 +1,4 @@
-"""Tokenization, character sliding windows, label alignment, pair targets.
+"""Tokenization, character sliding windows, label alignment, pair class ids.
 
 Windows start at 0, stride, 2*stride, ... and stop with the first window
 whose nominal span reaches the end of the text, so stride <= window size
@@ -34,8 +34,8 @@ NULL_REL = "NULL_REL"
 # in the per-pair baseline; the shared vocabulary keeps both encoders
 # identically configured for cost comparisons.
 UNK_TOKEN = "<unk>"
-E1_OPEN, E1_CLOSE, E2_OPEN, E2_CLOSE = "<e1>", "</e1>", "<e2>", "</e2>"
-SPECIAL_TOKENS = (UNK_TOKEN, E1_OPEN, E1_CLOSE, E2_OPEN, E2_CLOSE)
+MARKER_TOKENS = ("<e1>", "</e1>", "<e2>", "</e2>")  # source open/close, target open/close
+SPECIAL_TOKENS = (UNK_TOKEN, *MARKER_TOKENS)
 
 
 class WindowingError(ValueError):
@@ -60,13 +60,6 @@ class Segment:
     window_end: int
     tokens: tuple[Token, ...]
     entities: tuple[Entity, ...]  # fully contained, schema-typed, offset order
-
-
-@dataclass(frozen=True)
-class PairTarget:
-    i: int  # head token index of the source entity
-    j: int  # head token index of the target entity
-    class_id: int  # 0 is always the null class
 
 
 def window_starts(text_length: int, window_chars: int, stride_chars: int) -> list[int]:
@@ -169,7 +162,8 @@ def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ..
 
     Label 0 is outside any entity; entity types follow in sorted order from 1.
     A token belongs to an entity when their character spans overlap; the
-    entity head is its first token. Overlapping entities are rejected.
+    entity head is its first token. Entities that overlap, in characters or
+    in a shared token, are rejected: one token can carry one label only.
     """
     label_ids = {etype: i for i, etype in enumerate(schema.entity_type_list(), start=1)}
     for prev, nxt in zip(segment.entities, segment.entities[1:]):
@@ -177,18 +171,18 @@ def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ..
             raise WindowingError(f"entities {prev.id} and {nxt.id} overlap; labels are ambiguous")
     labels = [0] * len(segment.tokens)
     spans: list[tuple[int, int]] = []
-    for e in segment.entities:
-        first, last = None, None
-        for idx, t in enumerate(segment.tokens):
-            if t.start < e.end and e.start < t.end:
-                if first is None:
-                    first = idx
-                last = idx
-        if first is None:
+    for k, e in enumerate(segment.entities):
+        covered = [idx for idx, t in enumerate(segment.tokens) if t.start < e.end and e.start < t.end]
+        if not covered:
             raise WindowingError(f"entity {e.id} covers no token in its segment")
-        for idx in range(first, last + 1):
+        # entities are in offset order, so a shared token is shared with the previous one
+        if spans and covered[0] <= spans[-1][1]:
+            raise WindowingError(
+                f"entities {segment.entities[k - 1].id} and {e.id} share a token; labels are ambiguous"
+            )
+        for idx in covered:
             labels[idx] = label_ids[e.etype]
-        spans.append((first, last))
+        spans.append((covered[0], covered[-1]))
     return tuple(labels), tuple(spans)
 
 
@@ -219,16 +213,15 @@ def ordered_entity_pairs(n_entities: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n_entities) for b in range(n_entities) if a != b]
 
 
-def build_pair_targets(
+def pair_class_ids(
     segment: Segment,
     gold_relations: list[Relation] | tuple[Relation, ...],
     class_map: RelationClassMap,
-    entity_spans: tuple[tuple[int, int], ...],
-) -> tuple[PairTarget, ...]:
-    """One target per ordered pair of distinct entity heads (m*(m-1) in total).
+) -> tuple[int, ...]:
+    """One class id per ordered entity pair, in ``ordered_entity_pairs`` order (m*(m-1) in total).
 
     The class comes from the unique gold relation on that ordered entity pair;
-    pairs without one get the null class. Relations whose type the class map
+    pairs without one get the null class 0. Relations whose type the class map
     does not know (SAME_FRAME while frame augmentation is off) are ignored.
     Two gold relations of different types on one ordered pair are a corpus
     inconsistency and raise.
@@ -247,12 +240,10 @@ def build_pair_targets(
                     f"{r.source}->{r.target} in {segment.doc_id}"
                 )
             gold[key] = r.rtype
-    targets = []
-    for a, b in ordered_entity_pairs(len(segment.entities)):
-        rtype = gold.get((a, b))
-        class_id = class_map.id_for(rtype) if rtype is not None else 0
-        targets.append(PairTarget(entity_spans[a][0], entity_spans[b][0], class_id))
-    return tuple(targets)
+    return tuple(
+        class_map.id_for(gold[pair]) if pair in gold else 0
+        for pair in ordered_entity_pairs(len(segment.entities))
+    )
 
 
 class Vocabulary:
@@ -289,7 +280,7 @@ class EncodedSegment:
     label_ids: tuple[int, ...]
     entities: tuple[Entity, ...]
     entity_spans: tuple[tuple[int, int], ...]  # (first, last) token index per entity
-    targets: tuple[PairTarget, ...]
+    class_ids: tuple[int, ...]  # one per ordered entity pair, in ordered_entity_pairs order
 
 
 def encode_segment(
@@ -300,7 +291,6 @@ def encode_segment(
     class_map: RelationClassMap,
 ) -> EncodedSegment:
     labels, spans = align_labels(segment, schema)
-    targets = build_pair_targets(segment, relations, class_map, spans)
     return EncodedSegment(
         doc_id=segment.doc_id,
         window_start=segment.window_start,
@@ -309,5 +299,5 @@ def encode_segment(
         label_ids=labels,
         entities=segment.entities,
         entity_spans=spans,
-        targets=targets,
+        class_ids=pair_class_ids(segment, relations, class_map),
     )

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from medrex.model import masked_loss
 from medrex.optim import LrSchedule, adam_step, lr_at
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
-from medrex.windowing import ordered_entity_pairs
+from medrex.windowing import WindowingError, ordered_entity_pairs
 
 TOCILIZUMAB_TEXT = (
     "treatment with tocilizumab IV every 4 weeks from July to October, "
@@ -210,13 +211,88 @@ def self_attention_with_two_key_transposes(store, name, x, heads, dropout_p, rng
     return ag.linear(merged, store[f"{name}.wo"], store[f"{name}.bo"])
 
 
-def unweighted_masked_loss(logits: ag.Tensor, targets) -> ag.Tensor:
+def unweighted_masked_loss(logits: ag.Tensor, class_ids) -> ag.Tensor:
     """``model.masked_loss`` in its earlier form at null-class weight 1, which skipped the weight multiply.
 
     The oracle for ``masked_loss``, which always multiplies by the class weights.
     """
+    return ag.reduce_mean(ag.cross_entropy(logits, np.asarray(class_ids, dtype=np.intp)))
+
+
+@dataclass(frozen=True)
+class PairTarget:
+    """One pair row in its earlier form: both head token indices and the class."""
+
+    i: int  # head token index of the source entity
+    j: int  # head token index of the target entity
+    class_id: int  # 0 is always the null class
+
+
+def build_pair_targets(segment, gold_relations, class_map, entity_spans) -> tuple[PairTarget, ...]:
+    """``windowing.build_pair_targets`` in its earlier form: one ``PairTarget`` per ordered entity pair.
+
+    The oracle for ``windowing.pair_class_ids`` and for the head pairs that
+    ``PairwiseREModel.forward`` builds from ``entity_spans``.
+    """
+    position = {e.id: k for k, e in enumerate(segment.entities)}
+    gold: dict[tuple[int, int], str] = {}
+    for r in gold_relations:
+        if r.rtype not in class_map:
+            continue
+        if r.source in position and r.target in position:
+            key = (position[r.source], position[r.target])
+            existing = gold.get(key)
+            if existing is not None and existing != r.rtype:
+                raise WindowingError(f"conflicting gold relations {existing!r} and {r.rtype!r}")
+            gold[key] = r.rtype
+    targets = []
+    for a, b in ordered_entity_pairs(len(segment.entities)):
+        rtype = gold.get((a, b))
+        class_id = class_map.id_for(rtype) if rtype is not None else 0
+        targets.append(PairTarget(entity_spans[a][0], entity_spans[b][0], class_id))
+    return tuple(targets)
+
+
+def pair_target_logits(model, segment, targets, train: bool = False) -> ag.Tensor:
+    """``PairwiseREModel.forward`` in its earlier form, which read the head pairs from ``PairTarget`` rows."""
+    contextual = model.encode_tokens(segment.token_ids, train=train)
+    fused = model.fuse_and_attend(contextual, segment.label_ids, train=train)
+    return model.pair_logits(fused, [(t.i, t.j) for t in targets], train=train)
+
+
+def pair_target_loss(logits: ag.Tensor, targets, null_class_weight: float = 1.0) -> ag.Tensor:
+    """``model.masked_loss`` in its earlier form, which took the class ids out of ``PairTarget`` rows."""
     class_ids = np.asarray([t.class_id for t in targets], dtype=np.intp)
-    return ag.reduce_mean(ag.cross_entropy(logits, class_ids))
+    weights = np.where(class_ids == 0, null_class_weight, 1.0)
+    return ag.reduce_mean(ag.mul(ag.cross_entropy(logits, class_ids), ag.Tensor(weights)))
+
+
+def cost_report_dict(report) -> dict:
+    """``CostReport.to_dict`` in its earlier, hand-listed form."""
+    return {
+        "segments": report.segments,
+        "epochs": report.epochs,
+        "pairwise_forwards": report.pairwise_forwards,
+        "baseline_forwards": report.baseline_forwards,
+        "pairwise_forwards_analytic": report.pairwise_forwards_analytic,
+        "baseline_forwards_analytic": report.baseline_forwards_analytic,
+        "analytic_ratio": report.analytic_ratio,
+        "pairwise_seconds": report.pairwise_seconds,
+        "baseline_seconds": report.baseline_seconds,
+        "measured_ratio": report.measured_ratio,
+    }
+
+
+def corpus_stats_dict(stats) -> dict:
+    """``CorpusStats.to_dict`` in its earlier, hand-listed form."""
+    return {
+        "doc_count": stats.doc_count,
+        "entity_total": stats.entity_total,
+        "entity_counts": dict(sorted(stats.entity_counts.items())),
+        "relation_total": stats.relation_total,
+        "relation_counts": dict(sorted(stats.relation_counts.items())),
+        "multi_frame_drug_fraction": stats.multi_frame_drug_fraction,
+    }
 
 
 def softmax_rows(values: np.ndarray) -> np.ndarray:
@@ -257,7 +333,7 @@ def _mean_loss(losses: list[ag.Tensor]) -> ag.Tensor:
 def pairwise_batch_loss(model, config):
     """A batch's whole pairwise loss as one graph: every segment's term, summed, then scaled."""
     return lambda batch: _mean_loss([
-        masked_loss(model.forward(seg, train=True), seg.targets, config.null_class_weight)
+        masked_loss(model.forward(seg, train=True), seg.class_ids, config.null_class_weight)
         for seg in batch
     ])
 
@@ -269,7 +345,7 @@ def baseline_batch_loss(model):
         for seg in batch:
             for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities))):
                 logits = model.forward_pair(seg, a, b, train=True)
-                target = np.asarray([seg.targets[row].class_id], dtype=np.intp)
+                target = np.asarray([seg.class_ids[row]], dtype=np.intp)
                 pair_losses.append(ag.reduce_mean(ag.cross_entropy(logits, target)))
         return _mean_loss(pair_losses)
 

@@ -61,7 +61,7 @@ def test_a1_gradient_integrity():
     model, segment = grad_check_fixture(d_model=64, seq=24, n_entities=4, seed=0)
     started = time.perf_counter()
     result = finite_diff_check(
-        lambda: masked_loss(model.forward(segment), segment.targets),
+        lambda: masked_loss(model.forward(segment), segment.class_ids),
         model.params,
         samples_per_param=200,
         seed=0,

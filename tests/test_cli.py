@@ -262,6 +262,41 @@ def test_end_to_end_missing_entity_file_exits_4_naming_the_doc(workspace, tmp_pa
     assert missing[:-4] in error["message"]
 
 
+def _copy_with_prefixed_text(src, dst, prefix: str = "Note "):
+    """A copy of a corpus whose second document's text gains a prefix, its .ann offsets shifted to match.
+
+    Each file stays consistent on its own; only its text differs from the source's. Returns that document's id.
+    """
+    shutil.copytree(src, dst)
+    doc_id = sorted(f[:-4] for f in os.listdir(dst) if f.endswith(".txt"))[1]
+    txt, ann = dst / f"{doc_id}.txt", dst / f"{doc_id}.ann"
+    txt.write_bytes(prefix.encode("utf-8") + txt.read_bytes())
+    lines = []
+    for line in ann.read_text(encoding="utf-8").splitlines():
+        if line.startswith("T"):
+            ident, span, surface = line.split("\t")
+            etype, start, end = span.split(" ")
+            line = f"{ident}\t{etype} {int(start) + len(prefix)} {int(end) + len(prefix)}\t{surface}"
+        lines.append(line)
+    ann.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return doc_id
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("end-to-end --ckpt {ckpt} --data {copy} --gold {data} --out {out}", "--data"),
+    ("evaluate --pred {copy} --gold {data} --out {out}", "--pred"),
+])
+def test_a_text_that_differs_from_its_gold_text_exits_3_naming_the_doc(argv, flag, workspace, tmp_path, capsys):
+    doc_id = _copy_with_prefixed_text(workspace / "data", tmp_path / "copy")
+    paths = dict(ckpt=workspace / "ckpt" / "model.ckpt", copy=tmp_path / "copy", data=workspace / "data",
+                 out=tmp_path / "out")
+    assert run_cli([token.format(**paths) for token in argv.split()]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert doc_id in error["message"] and flag in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_documents_every_flag():
     parser = build_parser()
     sub_actions = next(

@@ -20,10 +20,20 @@ from medrex.optim import finite_diff_check
 from medrex.schema import CORP_HUS
 from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
-from medrex.windowing import PairTarget, RelationClassMap, Vocabulary, encode_segment, segment_corpus
+from medrex.windowing import (
+    EncodedSegment,
+    RelationClassMap,
+    Vocabulary,
+    encode_segment,
+    ordered_entity_pairs,
+    segment_corpus,
+)
 
 from .conftest import (
+    build_pair_targets,
     concat_pair_logits,
+    pair_target_logits,
+    pair_target_loss,
     self_attention_with_two_key_transposes,
     softmax_rows,
     unweighted_masked_loss,
@@ -135,6 +145,12 @@ def test_relative_distance_clipping_boundary():
     assert not np.allclose(at_limit, neg_at_limit)
 
 
+def _head_pairs(segment) -> list[tuple[int, int]]:
+    """The (source head, target head) token pair of each row, in ``ordered_entity_pairs`` order."""
+    return [(segment.entity_spans[a][0], segment.entity_spans[b][0])
+            for a, b in ordered_entity_pairs(len(segment.entity_spans))]
+
+
 def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
     assert got.shape == want.shape
     return float(np.abs(got - want).max() / np.abs(want).max())
@@ -142,7 +158,7 @@ def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
 
 def test_pair_head_matches_the_concat_form_on_the_grad_check_fixture():
     model, segment = grad_check_fixture(d_model=16, seq=12, n_entities=4, seed=0)
-    pairs = [(t.i, t.j) for t in segment.targets]
+    pairs = _head_pairs(segment)
     weights = ag.Tensor(np.random.default_rng(1).standard_normal((len(pairs), model.config.num_classes)))
     grads = []
     for head in (model.pair_logits, lambda fused, p: concat_pair_logits(model, fused, p)):
@@ -174,7 +190,7 @@ def test_pair_head_matches_the_concat_form_on_a_train_wide_segment():
     ))
     with ag.no_grad():
         fused = model.fuse_and_attend(model.encode_tokens(encoded.token_ids), encoded.label_ids)
-        pairs = [(t.i, t.j) for t in encoded.targets]
+        pairs = _head_pairs(encoded)
         assert len(pairs) >= 500
         assert _relative_gap(model.pair_logits(fused, pairs).values,
                              concat_pair_logits(model, fused, pairs).values) < 1e-12
@@ -192,14 +208,13 @@ def test_pair_head_matches_the_concat_form_on_reversed_clipped_and_repeated_pair
 
 def test_masked_loss_uniform_and_extreme():
     logits = ag.Tensor(np.zeros((4, 5)))
-    targets = [PairTarget(0, 1, 2), PairTarget(1, 0, 0), PairTarget(0, 2, 1), PairTarget(2, 0, 0)]
-    loss = masked_loss(logits, targets)
+    loss = masked_loss(logits, [2, 0, 1, 0])
     assert float(loss.values) == pytest.approx(math.log(5.0), abs=1e-12)
 
     hot = np.full((2, 5), -50.0)
     hot[0, 3] = 50.0
     hot[1, 0] = 50.0
-    small = masked_loss(ag.Tensor(hot), [PairTarget(0, 1, 3), PairTarget(1, 0, 0)])
+    small = masked_loss(ag.Tensor(hot), [3, 0])
     assert float(small.values) < 1e-8
 
     with pytest.raises(ModelError, match="at least one"):
@@ -208,9 +223,9 @@ def test_masked_loss_uniform_and_extreme():
 
 def test_masked_loss_null_downweighting():
     logits = ag.Tensor(np.zeros((2, 5)))
-    targets = [PairTarget(0, 1, 0), PairTarget(1, 0, 2)]
-    plain = float(masked_loss(logits, targets).values)
-    down = float(masked_loss(logits, targets, null_class_weight=0.5).values)
+    class_ids = [0, 2]
+    plain = float(masked_loss(logits, class_ids).values)
+    down = float(masked_loss(logits, class_ids, null_class_weight=0.5).values)
     assert down == pytest.approx(0.75 * plain)
 
 
@@ -220,16 +235,16 @@ def test_class_relabeling_leaves_loss_unchanged():
     model = PairwiseREModel(cfg)
     ids = [1, 2, 3, 4, 5, 6]
     labels = [0, 1, 0, 2, 0, 3]
-    targets = [PairTarget(1, 3, 2), PairTarget(3, 1, 0), PairTarget(1, 5, 4), PairTarget(5, 3, 1)]
+    pairs, class_ids = [(1, 3), (3, 1), (1, 5), (5, 3)], [2, 0, 4, 1]
     fused = model.fuse_and_attend(model.encode_tokens(ids), labels)
-    loss = float(masked_loss(model.pair_logits(fused, [(t.i, t.j) for t in targets]), targets).values)
+    loss = float(masked_loss(model.pair_logits(fused, pairs), class_ids).values)
 
     perm = rng.permutation(cfg.num_classes)  # class c is renamed perm[c]
     model.params["pair.fc2.w"].values[:] = model.params["pair.fc2.w"].values[:, np.argsort(perm)]
     model.params["pair.fc2.b"].values[:] = model.params["pair.fc2.b"].values[np.argsort(perm)]
-    relabeled = [PairTarget(t.i, t.j, int(perm[t.class_id])) for t in targets]
+    relabeled = [int(perm[c]) for c in class_ids]
     fused2 = model.fuse_and_attend(model.encode_tokens(ids), labels)
-    loss2 = float(masked_loss(model.pair_logits(fused2, [(t.i, t.j) for t in relabeled]), relabeled).values)
+    loss2 = float(masked_loss(model.pair_logits(fused2, pairs), relabeled).values)
     assert loss2 == pytest.approx(loss, rel=1e-12)
 
 
@@ -273,19 +288,14 @@ def _toy_segment(cfg, n_tokens=10, n_entities=3, seed=0):
     for k, pos in enumerate(head_positions):
         label_ids[pos] = (k % cfg.num_entity_types) + 1
         spans.append((pos, pos))
-    targets = []
-    for a in range(n_entities):
-        for b in range(n_entities):
-            if a == b:
-                continue
-            cls = int(rng.integers(0, cfg.num_classes)) if rng.random() < 0.4 else 0
-            targets.append(PairTarget(spans[a][0], spans[b][0], cls))
-    from medrex.windowing import EncodedSegment
-
+    class_ids = tuple(
+        int(rng.integers(0, cfg.num_classes)) if rng.random() < 0.4 else 0
+        for _ in ordered_entity_pairs(n_entities)
+    )
     return EncodedSegment(
         doc_id="toy", window_start=0, window_end=n_tokens,
         token_ids=token_ids, label_ids=tuple(label_ids),
-        entities=(), entity_spans=tuple(spans), targets=tuple(targets),
+        entities=(), entity_spans=tuple(spans), class_ids=class_ids,
     )
 
 
@@ -295,7 +305,7 @@ def test_full_model_gradcheck_small():
     segment = _toy_segment(cfg)
 
     result = finite_diff_check(
-        lambda: masked_loss(model.forward(segment), segment.targets),
+        lambda: masked_loss(model.forward(segment), segment.class_ids),
         model.params,
         samples_per_param=12,
         seed=5,
@@ -303,15 +313,23 @@ def test_full_model_gradcheck_small():
     assert result.max_rel_error < 1e-4, str(result)
 
 
-def test_forward_only_materialises_entity_head_pairs():
+def test_forward_only_materialises_entity_head_pairs(monkeypatch):
     cfg = _config()
     model = PairwiseREModel(cfg)
     segment = _toy_segment(cfg, n_tokens=12, n_entities=3)
+    scored = []
+    original = model.pair_logits
+
+    def recording(fused, pairs, train=False):
+        scored.extend(pairs)
+        return original(fused, pairs, train=train)
+
+    monkeypatch.setattr(model, "pair_logits", recording)
     logits = model.forward(segment)
-    assert logits.shape[0] == len(segment.targets) == 3 * 2
+    assert logits.shape[0] == len(segment.class_ids) == 3 * 2
     heads = {s[0] for s in segment.entity_spans}
-    for t in segment.targets:
-        assert t.i in heads and t.j in heads
+    for i, j in scored:
+        assert i in heads and j in heads
 
 
 def test_baseline_marker_sequence():
@@ -385,23 +403,34 @@ def test_predict_relations_class_map_size_checked():
         predict_relations(model, doc, CORP_HUS, vocab, RelationClassMap(CORP_HUS), 300, 150)
 
 
-def _densest_segment():
+def _densest_corpus_segment():
+    """A seed-7 corpus's encoded segment with the most entities.
+
+    Returned with its document's relations, the class map and the vocabulary size.
+    """
     gen = GenConfig(seed=7, doc_count=6)
     docs, schema = generate_corpus(gen), gen.schema()
     vocab, class_map = Vocabulary.build(docs), RelationClassMap(schema)
     segments, _ = segment_corpus(docs, 300, 150)
     widest = max(segments, key=lambda seg: len(seg.entities))
     relations = {d.doc_id: d.relations for d in docs}[widest.doc_id]
-    return encode_segment(widest, vocab, schema, relations, class_map), len(vocab), len(class_map)
+    return encode_segment(widest, vocab, schema, relations, class_map), relations, class_map, len(vocab)
 
 
-def _training_step_outputs(segment, vocab_size, num_classes, loss_fn) -> list[np.ndarray]:
+def _densest_segment():
+    segment, _, class_map, vocab_size = _densest_corpus_segment()
+    return segment, vocab_size, len(class_map)
+
+
+def _training_step_outputs(
+    segment, vocab_size, num_classes, loss_fn, forward=PairwiseREModel.forward,
+) -> list[np.ndarray]:
     """Logits, loss and every parameter gradient of one training-mode forward (dropout on) and backward."""
     model = PairwiseREModel(_config(
         vocab_size=vocab_size, num_classes=num_classes, max_positions=len(segment.token_ids), dropout=0.1,
     ))
-    logits = model.forward(segment, train=True)
-    loss = loss_fn(logits, segment.targets)
+    logits = forward(model, segment, train=True)
+    loss = loss_fn(logits, segment.class_ids)
     outputs = [logits.values.copy(), loss.values.copy()]
     ag.backward(loss)
     return outputs + [p.grad for _, p in model.params.items()]
@@ -430,6 +459,20 @@ def test_masked_loss_at_weight_one_matches_the_unweighted_form_bit_for_bit(compu
     with compute():
         got = _training_step_outputs(segment, vocab_size, num_classes, masked_loss)
         want = _training_step_outputs(segment, vocab_size, num_classes, unweighted_masked_loss)
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_class_ids_match_the_pair_target_form_bit_for_bit(compute):
+    segment, relations, class_map, vocab_size = _densest_corpus_segment()
+    targets = build_pair_targets(segment, relations, class_map, segment.entity_spans)
+    assert segment.class_ids == tuple(t.class_id for t in targets) and any(segment.class_ids)
+    with compute():
+        got = _training_step_outputs(segment, vocab_size, len(class_map), lambda x, c: masked_loss(x, c, 0.3))
+        want = _training_step_outputs(
+            segment, vocab_size, len(class_map), lambda x, _: pair_target_loss(x, targets, 0.3),
+            forward=lambda model, seg, train: pair_target_logits(model, seg, targets, train),
+        )
     _assert_same_bits(got, want)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from medrex.frames import build_frames, decode_frames
@@ -6,7 +8,7 @@ from medrex.standoff import read_corpus_dir, serialize_standoff, validate_docume
 from medrex.stats import corpus_stats
 from medrex.synth import GenConfig, GenerationError, generate_corpus, write_corpus
 
-from .conftest import corpus_split, frames_to_relations, normalize_frameset
+from .conftest import corpus_split, corpus_stats_dict, frames_to_relations, normalize_frameset
 
 
 def test_empty_corpus():
@@ -122,6 +124,14 @@ def test_stats_counting_and_additivity():
         assert combined.relation_counts[key] == part_a.relation_counts.get(key, 0) + part_b.relation_counts.get(key, 0)
     assert combined.entity_total == sum(combined.entity_counts.values())
     assert combined.relation_total == sum(combined.relation_counts.values())
+
+
+@pytest.mark.parametrize("schema_name", ["corp-hus", "n2c2"])
+def test_stats_json_matches_the_hand_listed_form_byte_for_byte(schema_name):
+    gen = GenConfig(seed=7, doc_count=20, schema_name=schema_name)
+    stats = corpus_stats(generate_corpus(gen), gen.schema())
+    dumps = dict(ensure_ascii=False, indent=2, sort_keys=True)  # as every stats writer
+    assert json.dumps(stats.to_dict(), **dumps) == json.dumps(corpus_stats_dict(stats), **dumps)
 
 
 def test_stats_simple_tally(corp_hus):

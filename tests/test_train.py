@@ -1,3 +1,5 @@
+import functools
+import json
 import weakref
 
 import numpy as np
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 
 from medrex import autograd as ag
 from medrex.evaluate import evaluate
-from medrex.model import BaselinePairModel, PairwiseREModel
-from medrex.schema import CORP_HUS, SAME_FRAME
+from medrex.model import BaselinePairModel, ModelConfig, PairwiseREModel
+from medrex.schema import CORP_HUS, OTHER_TYPE, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
 from medrex.train import (
+    CostReport,
     InferenceBundle,
     TrainConfig,
     TrainingError,
@@ -25,10 +28,12 @@ from medrex.train import (
     save_bundle,
     train,
 )
+from medrex.windowing import RelationClassMap, Vocabulary, WindowingError
 
 from .conftest import (
     accumulate_copying_every_first_gradient,
     baseline_batch_loss,
+    cost_report_dict,
     pairwise_batch_loss,
     whole_batch_fit,
 )
@@ -147,6 +152,16 @@ def test_cost_report_counts_exact(small_corpus):
     payload = report.to_dict()
     assert payload["measured_ratio"] > 0
     assert payload["analytic_ratio"] == report.analytic_ratio
+
+
+@pytest.mark.parametrize("pairwise_seconds", [0.625, 0.0])
+def test_cost_report_json_matches_the_hand_listed_form_byte_for_byte(pairwise_seconds):
+    report = CostReport(
+        segments=134, epochs=1, pairwise_forwards=134, baseline_forwards=7596, pairwise_forwards_analytic=134,
+        baseline_forwards_analytic=7596, pairwise_seconds=pairwise_seconds, baseline_seconds=21.5,
+    )
+    assert json.dumps(report.to_dict(), indent=2, sort_keys=True) == json.dumps(
+        cost_report_dict(report), indent=2, sort_keys=True)
 
 
 def test_cost_report_two_entity_segments_ratio_two():
@@ -271,7 +286,7 @@ def test_grad_check_fixture_computes_in_float64(monkeypatch):
     model, segment = grad_check_fixture(d_model=16, seq=12, n_entities=3, seed=0)
     assert {p.values.dtype for _, p in model.params.items()} == {np.dtype(np.float64)}
     nodes = _record_node_dtypes(monkeypatch)
-    result = finite_diff_check(lambda: masked_loss(model.forward(segment), segment.targets),
+    result = finite_diff_check(lambda: masked_loss(model.forward(segment), segment.class_ids),
                                model.params, samples_per_param=2)
     assert result.max_rel_error < 1e-4
     assert {dtype for _, dtype in nodes} == {"float64"}
@@ -409,3 +424,66 @@ def test_n2c2_profile_trains_and_predicts_held_out_documents():
             assert p.source in doc.entities and p.target in doc.entities
             assert p.rtype in schema.relation_types
     evaluate(held_out, predictions, "strict", schema)
+
+
+# Dense punctuation, newlines, tabs and multi-byte characters (accented, CJK, an emoji outside the BMP).
+_UNTRUSTED_ALPHABET = list("ab1 ,.;:-/()\n\t") + ["é", "ß", "日", "本", "€", "\U0001f48a"]
+
+
+@functools.cache
+def _untrained_bundle() -> InferenceBundle:
+    """A randomly initialised small model behind 40-character windows and a 12-token cap."""
+    vocab = Vocabulary.build([Document("v", "a b ab 1 , . ; ( é ß 日本", (), ())])
+    class_map = RelationClassMap(CORP_HUS)
+    config = ModelConfig(vocab_size=len(vocab), num_entity_types=len(CORP_HUS.entity_types),
+                         num_classes=len(class_map), max_positions=12, **TINY)
+    return InferenceBundle(PairwiseREModel(config), vocab, class_map, CORP_HUS, window_chars=40, stride_chars=20)
+
+
+@st.composite
+def _tagged_texts(draw):
+    """Arbitrary text plus typed entity spans with valid offsets and unique ids.
+
+    Spans are drawn freely (they may overlap), or from distinct cut points:
+    separated by gaps, or tiling a stretch of text. Spans cut from points are
+    disjoint in characters, though two may still share a token.
+    """
+    text = draw(st.text(st.sampled_from(_UNTRUSTED_ALPHABET), min_size=1, max_size=160))
+    n = draw(st.integers(0, min(8, (len(text) + 1) // 2)))
+    layout = draw(st.sampled_from(["free", "gapped", "tiled"]))
+    if layout == "free":
+        spans = []
+        for _ in range(n):
+            start = draw(st.integers(0, len(text) - 1))
+            spans.append((start, draw(st.integers(start + 1, min(len(text), start + 10)))))
+    elif layout == "gapped":
+        cuts = sorted(draw(st.sets(st.integers(0, len(text)), min_size=2 * n, max_size=2 * n)))
+        spans = list(zip(cuts[::2], cuts[1::2]))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(0, len(text)), min_size=n + 1, max_size=n + 1)))
+        spans = list(zip(cuts, cuts[1:]))
+    ids = draw(st.permutations(range(1, n + 1)))
+    types = sorted(CORP_HUS.entity_types) + [OTHER_TYPE]
+    entities = [Entity(f"T{k}", draw(st.sampled_from(types)), s, e, text[s:e]) for k, (s, e) in zip(ids, spans)]
+    return text, entities, draw(st.permutations(entities))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tagged_texts())
+def test_predictions_reference_provided_entities_and_ignore_their_order(tagged):
+    """ROADMAP item 1: on untrusted input, predict references only provided entities or raises WindowingError.
+
+    The outcome is the same for every order of the entity list.
+    """
+    text, entities, shuffled = tagged
+    doc = Document("untrusted", text, (), ())
+    outcomes = []
+    for order in (entities, shuffled, entities[::-1]):
+        try:
+            predictions = _untrained_bundle().predict(doc, order)
+        except WindowingError as error:
+            outcomes.append(type(error))
+            continue
+        assert all(p.source in entities and p.target in entities for p in predictions)
+        outcomes.append([(p.rtype, p.source, p.target, p.prob) for p in predictions])
+    assert outcomes[0] == outcomes[1] == outcomes[2]

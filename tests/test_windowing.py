@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medrex.frames import augment_document
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
+from medrex.synth import GenConfig, generate_corpus
 from medrex.windowing import (
     RelationClassMap,
     Segment,
@@ -20,6 +22,8 @@ from medrex.windowing import (
     tokenize,
     window_starts,
 )
+
+from .conftest import build_pair_targets
 
 
 def test_tokenize_empty():
@@ -145,6 +149,17 @@ def test_align_labels_rejects_overlap():
         align_labels(seg, CORP_HUS)
 
 
+@pytest.mark.parametrize("text, spans", [
+    ("aspirin 10mg daily", [("Dosage", 8, 10), ("Route", 10, 12)]),  # both heads on "10mg"
+    ("aspirin 10mg daily", [("Drug", 0, 10), ("Route", 10, 18)]),  # distinct heads, "10mg" shared
+])
+def test_align_labels_rejects_entities_that_share_a_token(text, spans):
+    doc = _doc_with(text, spans)
+    seg = make_segments(doc, 300, 150)[0]
+    with pytest.raises(WindowingError, match="T1 and T2 share a token"):
+        align_labels(seg, CORP_HUS)
+
+
 def _encoded(text, spans, relations):
     doc = Document(
         "d", text,
@@ -163,12 +178,13 @@ def test_pair_targets_m2():
         [("Drug", 0, 7), ("Dosage", 8, 14)],
         [Relation("R1", "Refer_to", "T2", "T1")],
     )
-    assert len(enc.targets) == 2
-    typed = [t for t in enc.targets if t.class_id != 0]
+    assert len(enc.class_ids) == 2
+    typed = [row for row, class_id in enumerate(enc.class_ids) if class_id != 0]
     assert len(typed) == 1
-    assert class_map.name_for(typed[0].class_id) == "Refer_to"
+    assert class_map.name_for(enc.class_ids[typed[0]]) == "Refer_to"
     # source entity is the dosage: its head token is index 1
-    assert (typed[0].i, typed[0].j) == (1, 0)
+    a, b = ordered_entity_pairs(2)[typed[0]]
+    assert (enc.entity_spans[a][0], enc.entity_spans[b][0]) == (1, 0)
 
 
 def test_pair_targets_m5_counts():
@@ -179,8 +195,8 @@ def test_pair_targets_m5_counts():
         Relation("R3", "Start", "T4", "T1"),
     ]
     enc, _ = _encoded("aa bb cc dd ee", spans, rels)
-    assert len(enc.targets) == 5 * 4
-    assert sum(1 for t in enc.targets if t.class_id != 0) == 3
+    assert len(enc.class_ids) == 5 * 4
+    assert sum(1 for class_id in enc.class_ids if class_id != 0) == 3
 
 
 def test_pair_targets_conflicting_relations_error():
@@ -210,9 +226,27 @@ def test_pair_targets_same_frame_requires_enabled_map():
     seg = make_segments(doc, 300, 150)[0]
     vocab = Vocabulary.build([doc])
     plain = encode_segment(seg, vocab, CORP_HUS, doc.relations, RelationClassMap(CORP_HUS))
-    assert sum(1 for t in plain.targets if t.class_id != 0) == 2
+    assert sum(1 for class_id in plain.class_ids if class_id != 0) == 2
     with_sf = encode_segment(seg, vocab, CORP_HUS, doc.relations, RelationClassMap(CORP_HUS, include_same_frame=True))
-    assert sum(1 for t in with_sf.targets if t.class_id != 0) == 3
+    assert sum(1 for class_id in with_sf.class_ids if class_id != 0) == 3
+
+
+@pytest.mark.parametrize("schema_name, window, same_frame", [
+    ("corp-hus", 300, False), ("corp-hus", 1000, False), ("corp-hus", 300, True), ("n2c2", 300, False),
+])
+def test_class_ids_match_the_pair_target_form_on_a_generated_corpus(schema_name, window, same_frame):
+    gen = GenConfig(seed=7, doc_count=50, schema_name=schema_name)
+    schema = gen.schema()
+    docs = [augment_document(d, schema) if same_frame else d for d in generate_corpus(gen)]
+    vocab, class_map = Vocabulary.build(docs), RelationClassMap(schema, include_same_frame=same_frame)
+    segments, _ = segment_corpus(docs, window, window // 2)
+    relations = {d.doc_id: d.relations for d in docs}
+    for seg in segments:
+        enc = encode_segment(seg, vocab, schema, relations[seg.doc_id], class_map)
+        targets = build_pair_targets(seg, relations[seg.doc_id], class_map, enc.entity_spans)
+        assert enc.class_ids == tuple(t.class_id for t in targets)
+        heads = [first for first, _ in enc.entity_spans]
+        assert [(heads[a], heads[b]) for a, b in ordered_entity_pairs(len(heads))] == [(t.i, t.j) for t in targets]
 
 
 def test_class_map_layout():
