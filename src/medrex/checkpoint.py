@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -81,11 +82,14 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     offset = header_end
     for entry in header["params"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: a hand-edited shape cannot wrap to a small count
         nbytes = count * 8
         if len(blob) < offset + nbytes:
             raise CheckpointError(f"checkpoint truncated inside payload of {entry['name']!r}")
-        params[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        try:
+            params[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        except ValueError as exc:  # an empty payload whose other dimensions numpy cannot hold
+            raise CheckpointError(f"checkpoint shape {list(shape)} of {entry['name']!r}: {exc}") from None
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{len(blob) - offset} trailing bytes after last payload")

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .checkpoint import CheckpointError
@@ -29,7 +29,7 @@ from .optim import finite_diff_check
 from .schema import SchemaError, UnknownProfileError, read_key_value_file, resolve_profile
 from .standoff import Document, StandoffError, read_corpus_dir, read_document, write_corpus_dir
 from .stats import corpus_stats
-from .synth import GenConfig, GenerationError, generate_corpus, write_corpus
+from .synth import GenConfig, GenerationError, generate_corpus
 from .train import (
     TrainConfig,
     TrainingError,
@@ -226,10 +226,11 @@ def _cmd_generate(args) -> int:
         sentences_max=options.get("sentences_max"),
     )
     docs = generate_corpus(cfg)
-    os.makedirs(out, exist_ok=True)
-    write_corpus(docs, out, cfg)
-    outputs = _corpus_files(out, docs) + [os.path.join(out, "manifest.json")]
-    _write_manifest(out, options, [], outputs)
+    write_corpus_dir(docs, out)
+    manifest_path = os.path.join(out, "manifest.json")
+    stats = corpus_stats(docs, cfg.schema()).to_dict()
+    _write_json(manifest_path, {"seed": cfg.seed, "config": asdict(cfg), "stats": stats})
+    _write_manifest(out, options, [], _corpus_files(out, docs) + [manifest_path])
     print(f"wrote {len(docs)} documents to {out}")
     return EXIT_OK
 
@@ -422,6 +423,8 @@ def _cmd_grad_check(args) -> int:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
     tol = options.get("tol")
     seed = options.get("seed")
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
     model, segment = grad_check_fixture(sizes["d_model"], sizes["seq"], sizes["entities"], seed)
     started = time.perf_counter()
     result = finite_diff_check(

@@ -37,6 +37,7 @@ from .windowing import (
     EncodedSegment,
     RelationClassMap,
     Vocabulary,
+    admit_entities,
     encode_segment,
     make_segments,
     ordered_entity_pairs,
@@ -94,6 +95,8 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ModelError(f"seed must be at least 0, got {self.seed}")
 
     @property
     def fused_dim(self) -> int:
@@ -154,52 +157,47 @@ def _self_attention(
     return ag.linear(merged, store[f"{name}.wo"], store[f"{name}.bo"])
 
 
-class TokenEncoder:
-    """Trainable token encoder: embeddings, learned positions, attention blocks.
+def _init_encoder(store: ParamStore, rng: np.random.Generator, config: ModelConfig) -> None:
+    """The token encoder's parameters; both models register them first, drawing the start of the init stream."""
+    _init_matrix(store, rng, "tok_emb", (config.vocab_size, config.d_model))
+    _init_matrix(store, rng, "pos_emb", (config.max_positions, config.d_model))
+    for layer in range(config.encoder_layers):
+        _init_attention(store, rng, f"enc{layer}.attn", config.d_model)
+        _init_layer_norm(store, f"enc{layer}.ln1", config.d_model)
+        _init_linear(store, rng, f"enc{layer}.ffn.fc1", config.d_model, config.encoder_ffn_dim)
+        _init_linear(store, rng, f"enc{layer}.ffn.fc2", config.encoder_ffn_dim, config.d_model)
+        _init_layer_norm(store, f"enc{layer}.ln2", config.d_model)
+
+
+def _encode(store: ParamStore, config: ModelConfig, token_ids, dropout_rng, train: bool) -> ag.Tensor:
+    """Contextual token embeddings [seq, d_model] from the trainable encoder.
 
     Stands in for a pretrained contextual encoder behind the same call shape;
     anything mapping token ids to [seq, d_model] can replace it.
     """
-
-    def __init__(self, store: ParamStore, config: ModelConfig, rng: np.random.Generator):
-        self.store = store
-        self.config = config
-        self.forward_count = 0
-        _init_matrix(store, rng, "tok_emb", (config.vocab_size, config.d_model))
-        _init_matrix(store, rng, "pos_emb", (config.max_positions, config.d_model))
-        for layer in range(config.encoder_layers):
-            _init_attention(store, rng, f"enc{layer}.attn", config.d_model)
-            _init_layer_norm(store, f"enc{layer}.ln1", config.d_model)
-            _init_linear(store, rng, f"enc{layer}.ffn.fc1", config.d_model, config.encoder_ffn_dim)
-            _init_linear(store, rng, f"enc{layer}.ffn.fc2", config.encoder_ffn_dim, config.d_model)
-            _init_layer_norm(store, f"enc{layer}.ln2", config.d_model)
-
-    def encode(self, token_ids, dropout_rng, train: bool = False) -> ag.Tensor:
-        ids = np.asarray(token_ids, dtype=np.intp)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ModelError(f"token ids must be a non-empty 1-d sequence, got shape {ids.shape}")
-        if ids.size > self.config.max_positions:
-            raise ModelError(f"sequence of {ids.size} tokens exceeds max_positions {self.config.max_positions}")
-        if ids.max() >= self.config.vocab_size or ids.min() < 0:
-            raise ModelError("token id outside the configured vocabulary")
-        self.forward_count += 1
-        store, cfg = self.store, self.config
-        p = cfg.dropout
-        x = ag.add(ag.gather_rows(store["tok_emb"], ids), ag.gather_rows(store["pos_emb"], np.arange(ids.size)))
-        x = ag.dropout(x, p, dropout_rng, train)
-        for layer in range(cfg.encoder_layers):
-            attn = _self_attention(store, f"enc{layer}.attn", x, cfg.encoder_heads, p, dropout_rng, train)
-            x = ag.layer_norm(
-                ag.add(x, ag.dropout(attn, p, dropout_rng, train)),
-                store[f"enc{layer}.ln1.gain"], store[f"enc{layer}.ln1.bias"],
-            )
-            hidden = ag.gelu(ag.linear(x, store[f"enc{layer}.ffn.fc1.w"], store[f"enc{layer}.ffn.fc1.b"]))
-            ffn = ag.linear(hidden, store[f"enc{layer}.ffn.fc2.w"], store[f"enc{layer}.ffn.fc2.b"])
-            x = ag.layer_norm(
-                ag.add(x, ag.dropout(ffn, p, dropout_rng, train)),
-                store[f"enc{layer}.ln2.gain"], store[f"enc{layer}.ln2.bias"],
-            )
-        return x
+    ids = np.asarray(token_ids, dtype=np.intp)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ModelError(f"token ids must be a non-empty 1-d sequence, got shape {ids.shape}")
+    if ids.size > config.max_positions:
+        raise ModelError(f"sequence of {ids.size} tokens exceeds max_positions {config.max_positions}")
+    if ids.max() >= config.vocab_size or ids.min() < 0:
+        raise ModelError("token id outside the configured vocabulary")
+    p = config.dropout
+    x = ag.add(ag.gather_rows(store["tok_emb"], ids), ag.gather_rows(store["pos_emb"], np.arange(ids.size)))
+    x = ag.dropout(x, p, dropout_rng, train)
+    for layer in range(config.encoder_layers):
+        attn = _self_attention(store, f"enc{layer}.attn", x, config.encoder_heads, p, dropout_rng, train)
+        x = ag.layer_norm(
+            ag.add(x, ag.dropout(attn, p, dropout_rng, train)),
+            store[f"enc{layer}.ln1.gain"], store[f"enc{layer}.ln1.bias"],
+        )
+        hidden = ag.gelu(ag.linear(x, store[f"enc{layer}.ffn.fc1.w"], store[f"enc{layer}.ffn.fc1.b"]))
+        ffn = ag.linear(hidden, store[f"enc{layer}.ffn.fc2.w"], store[f"enc{layer}.ffn.fc2.b"])
+        x = ag.layer_norm(
+            ag.add(x, ag.dropout(ffn, p, dropout_rng, train)),
+            store[f"enc{layer}.ln2.gain"], store[f"enc{layer}.ln2.bias"],
+        )
+    return x
 
 
 class PairwiseREModel:
@@ -207,7 +205,7 @@ class PairwiseREModel:
         self.config = config
         self.params = ParamStore()
         rng = np.random.default_rng(config.seed)
-        self.encoder = TokenEncoder(self.params, config, rng)
+        _init_encoder(self.params, rng, config)
         _init_matrix(self.params, rng, "label_emb", (config.num_entity_types + 1, config.label_emb_dim))
         _init_attention(self.params, rng, "fuse.attn", config.fused_dim)
         _init_layer_norm(self.params, "fuse.ln", config.fused_dim)
@@ -215,13 +213,12 @@ class PairwiseREModel:
         _init_linear(self.params, rng, "pair.fc1", 2 * config.fused_dim + config.relpos_emb_dim, config.hidden_dim)
         _init_linear(self.params, rng, "pair.fc2", config.hidden_dim, config.num_classes)
         self.dropout_rng = np.random.default_rng([config.seed, 1])
-
-    @property
-    def encoder_forwards(self) -> int:
-        return self.encoder.forward_count
+        self.encoder_forwards = 0
 
     def encode_tokens(self, token_ids, train: bool = False) -> ag.Tensor:
-        return self.encoder.encode(token_ids, self.dropout_rng, train)
+        encoded = _encode(self.params, self.config, token_ids, self.dropout_rng, train)
+        self.encoder_forwards += 1
+        return encoded
 
     def fuse_and_attend(self, contextual: ag.Tensor, label_ids, train: bool = False) -> ag.Tensor:
         ids = np.asarray(label_ids, dtype=np.intp)
@@ -289,14 +286,11 @@ class BaselinePairModel:
         self.config = config
         self.params = ParamStore()
         rng = np.random.default_rng(config.seed)
-        self.encoder = TokenEncoder(self.params, config, rng)
+        _init_encoder(self.params, rng, config)
         _init_linear(self.params, rng, "clf", config.d_model, config.num_classes)
         self.dropout_rng = np.random.default_rng([config.seed, 2])
         self._pool = ag.Tensor(np.full((1, 4), 0.25))
-
-    @property
-    def encoder_forwards(self) -> int:
-        return self.encoder.forward_count
+        self.encoder_forwards = 0
 
     @staticmethod
     def marker_sequence(
@@ -339,7 +333,8 @@ class BaselinePairModel:
             segment.entity_spans[source_index],
             segment.entity_spans[target_index],
         )
-        encoded = self.encoder.encode(ids, self.dropout_rng, train)
+        encoded = _encode(self.params, self.config, ids, self.dropout_rng, train)
+        self.encoder_forwards += 1
         pooled = ag.matmul(self._pool, ag.gather_rows(encoded, positions))
         return ag.linear(pooled, self.params["clf.w"], self.params["clf.b"])
 
@@ -352,55 +347,69 @@ class PredictedRelation:
     prob: float
 
 
-@ag.float32_compute()
-def predict_relations(
-    model: PairwiseREModel,
-    doc: Document,
-    schema: SchemaProfile,
-    vocab: Vocabulary,
-    class_map: RelationClassMap,
-    window_chars: int,
-    stride_chars: int,
-    entities: list[Entity] | None = None,
-) -> list[PredictedRelation]:
-    """Argmax relations over every ordered entity-head pair of every window.
+@dataclass
+class InferenceBundle:
+    """A trained pairwise model with everything prediction needs."""
 
-    ``entities`` switches the label source: the document's own (gold) entities
-    by default, or externally provided ones (upstream tagger output). When
-    windows overlap, the same entity pair can be scored several times;
-    the candidate with the highest probability wins, earlier windows winning
-    ties, and the final entity-level relation list is deduplicated. A window
-    with more tokens than ``max_positions`` is scored in pieces that fit
-    (``make_segments``'s ``max_tokens``). The forward pass computes in
-    float32, whatever the parameters' dtype.
-    """
-    if len(class_map) != model.config.num_classes:
-        raise ModelError(
-            f"class map has {len(class_map)} classes but the model was built for {model.config.num_classes}"
-        )
-    entity_list = tuple(entities) if entities is not None else doc.entities
-    work_doc = Document(doc.doc_id, doc.text, entity_list, ())
-    best: dict[tuple[str, str], tuple[float, str]] = {}
-    entity_by_id = {e.id: e for e in entity_list}
-    for segment in make_segments(work_doc, window_chars, stride_chars, model.config.max_positions):
-        encoded = encode_segment(segment, vocab, schema, (), class_map)
-        with ag.no_grad():
-            logits = model.forward(encoded, train=False)
-            probs = ag.row_softmax(logits).values
-        class_ids, top = probs.argmax(axis=1), probs.max(axis=1)
-        pairs = ordered_entity_pairs(len(encoded.entities))
-        for row in np.flatnonzero(class_ids).tolist():
-            a, b = pairs[row]
-            key = (encoded.entities[a].id, encoded.entities[b].id)
-            class_id, prob = int(class_ids[row]), float(top[row])
-            if key not in best or prob > best[key][0]:
-                best[key] = (prob, class_map.name_for(class_id))
-    predictions = [
-        PredictedRelation(rtype, entity_by_id[src], entity_by_id[tgt], prob)
-        for (src, tgt), (prob, rtype) in best.items()
-    ]
-    predictions.sort(key=lambda p: (p.source.start, p.source.end, p.target.start, p.target.end, p.rtype))
-    return predictions
+    model: PairwiseREModel
+    vocab: Vocabulary
+    class_map: RelationClassMap
+    schema: SchemaProfile
+    window_chars: int
+    stride_chars: int
+
+    def __post_init__(self):
+        if len(self.class_map) != self.model.config.num_classes:
+            raise ModelError(f"class map has {len(self.class_map)} classes but the model was built for "
+                             f"{self.model.config.num_classes}")
+
+    @ag.float32_compute()
+    def predict(self, doc: Document, entities: list[Entity] | None = None) -> list[PredictedRelation]:
+        """Argmax relations over every ordered entity-head pair of every window.
+
+        ``entities`` switches the label source: the document's own (gold)
+        entities by default, or externally provided ones (upstream tagger
+        output). Only the entities ``admit_entities`` admits are labelled and
+        paired: one that covers no token is skipped, and of two that overlap
+        or share a token or an id only one is kept. When windows overlap, the same
+        entity pair can be scored several times; the candidate with the
+        highest probability wins, earlier windows winning ties, and the final
+        entity-level relation list is deduplicated. A window with more tokens
+        than ``max_positions`` is scored in pieces that fit (``make_segments``'s
+        ``max_tokens``). The forward pass computes in float32, whatever the
+        parameters' dtype.
+        """
+        admitted = admit_entities(doc.text, entities if entities is not None else doc.entities)
+        work_doc = Document(doc.doc_id, doc.text, admitted, ())
+        best: dict[tuple[str, str], tuple[float, str]] = {}
+        entity_by_id = {e.id: e for e in admitted}
+        for segment in make_segments(work_doc, self.window_chars, self.stride_chars, self.model.config.max_positions):
+            encoded = encode_segment(segment, self.vocab, self.schema, (), self.class_map)
+            with ag.no_grad():
+                logits = self.model.forward(encoded, train=False)
+                probs = ag.row_softmax(logits).values
+            class_ids, top = probs.argmax(axis=1), probs.max(axis=1)
+            pairs = ordered_entity_pairs(len(encoded.entities))
+            for row in np.flatnonzero(class_ids).tolist():
+                a, b = pairs[row]
+                key = (encoded.entities[a].id, encoded.entities[b].id)
+                class_id, prob = int(class_ids[row]), float(top[row])
+                if key not in best or prob > best[key][0]:
+                    best[key] = (prob, self.class_map.name_for(class_id))
+        predictions = [
+            PredictedRelation(rtype, entity_by_id[src], entity_by_id[tgt], prob)
+            for (src, tgt), (prob, rtype) in best.items()
+        ]
+        predictions.sort(key=lambda p: (p.source.start, p.source.end, p.target.start, p.target.end, p.rtype))
+        return predictions
+
+    def predict_corpus(
+        self, docs: list[Document], entities_map: dict[str, list[Entity]] | None = None
+    ) -> dict[str, list[PredictedRelation]]:
+        return {
+            doc.doc_id: self.predict(doc, entities_map.get(doc.doc_id) if entities_map else None)
+            for doc in docs
+        }
 
 
 def grad_check_fixture(d_model: int, seq: int, n_entities: int, seed: int) -> tuple[PairwiseREModel, EncodedSegment]:
@@ -429,7 +438,6 @@ def grad_check_fixture(d_model: int, seq: int, n_entities: int, seed: int) -> tu
         for _ in ordered_entity_pairs(n_entities)
     )
     segment = EncodedSegment(
-        doc_id="grad-check", window_start=0, window_end=seq,
         token_ids=token_ids, label_ids=tuple(label_ids), entities=(),
         entity_spans=tuple((h, h) for h in heads), class_ids=class_ids,
     )

@@ -154,8 +154,8 @@ def parse_standoff(
                 raise StandoffError(f"{doc_id}.ann: relation {r.id} references missing entity {ref}")
 
     doc = Document(doc_id, text, tuple(entities), tuple(relations))
-    violations = validate_document(doc, schema)
-    if strict and violations:
+    violations = validate_document(doc, schema) if strict else []
+    if violations:
         summary = "; ".join(str(v) for v in violations[:5])
         raise StandoffError(f"{doc_id}: document fails validation: {summary}", violations)
     return doc

@@ -12,14 +12,12 @@ in the emitted SAME_FRAME edges (complete graph per frame).
 
 from __future__ import annotations
 
-import json
-import os
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .frames import Frame, FrameSet, with_same_frame
 from .schema import SchemaProfile, resolve_profile
-from .standoff import Document, Entity, Relation, write_corpus_dir
+from .standoff import Document, Entity, Relation
 
 DRUGS = (
     "méthotrexate", "tocilizumab", "prednisone", "hydroxychloroquine",
@@ -375,21 +373,3 @@ def generate_corpus(cfg: GenConfig) -> list[Document]:
     """
     schema = cfg.schema()
     return [_generate_document(i, cfg, schema) for i in range(cfg.doc_count)]
-
-
-def write_corpus(docs: list[Document], out_dir: str, cfg: GenConfig) -> None:
-    """Write .txt/.ann pairs plus a manifest (seed, config echo, stats); no volatile fields."""
-    from .stats import corpus_stats
-
-    write_corpus_dir(docs, out_dir)
-    manifest = {
-        "seed": cfg.seed,
-        "config": asdict(cfg),
-        "stats": corpus_stats(docs, cfg.schema()).to_dict(),
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)

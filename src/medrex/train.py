@@ -24,15 +24,14 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .frames import augment_document
 from .model import (
     BaselinePairModel,
+    InferenceBundle,
     ModelConfig,
     PairwiseREModel,
-    PredictedRelation,
     masked_loss,
-    predict_relations,
 )
 from .optim import LrSchedule, adam_step, lr_at
 from .schema import SchemaProfile
-from .standoff import Document, Entity, validate_document
+from .standoff import Document, validate_document
 from .windowing import (
     SPECIAL_TOKENS,
     EncodedSegment,
@@ -76,6 +75,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise TrainingError(f"{name} must be finite and at least 0, got {value}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be at least 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -233,30 +234,6 @@ def train(
         run_log=run_log,
         epoch_seconds=epoch_seconds,
     )
-
-
-@dataclass
-class InferenceBundle:
-    model: PairwiseREModel
-    vocab: Vocabulary
-    class_map: RelationClassMap
-    schema: SchemaProfile
-    window_chars: int
-    stride_chars: int
-
-    def predict(self, doc: Document, entities: list[Entity] | None = None) -> list[PredictedRelation]:
-        return predict_relations(
-            self.model, doc, self.schema, self.vocab, self.class_map,
-            self.window_chars, self.stride_chars, entities=entities,
-        )
-
-    def predict_corpus(
-        self, docs: list[Document], entities_map: dict[str, list[Entity]] | None = None
-    ) -> dict[str, list[PredictedRelation]]:
-        return {
-            doc.doc_id: self.predict(doc, entities_map.get(doc.doc_id) if entities_map else None)
-            for doc in docs
-        }
 
 
 def save_bundle(path: str, result: TrainResult) -> None:

@@ -10,7 +10,9 @@ at most one token overhang per side.
 Prediction also caps a window's tokens at the model's ``max_positions``:
 a longer window is cut into overlapping pieces of at most that many tokens.
 Windows and pieces containing fewer than two fully contained entities are
-dropped.
+dropped. Before windowing, prediction admits its entities: one that covers no
+token is skipped, and of two that overlap or share a token or an id only one
+is kept.
 Relations whose endpoints never co-occur inside one emitted window are
 counted as unreachable in the corpus report.
 """
@@ -18,6 +20,7 @@ counted as unreachable in the corpus report.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -109,6 +112,31 @@ def make_segments(
     return segments
 
 
+def admit_entities(text: str, entities) -> tuple[Entity, ...]:
+    """The typed entities that prediction labels: no two overlap, share a token or share an id.
+
+    ``OTHER`` entities and entities that cover no token are left out. The rest
+    are taken longest first, then earliest, then by id (type and surface break
+    any tie left), and each one that overlaps one already taken in characters,
+    or shares a token or its id with it, is left out, so the result does not
+    depend on the input order.
+    """
+    matches = list(_TOKEN_RE.finditer(text))  # the tokens' spans, without building Token objects
+    starts, ends = [m.start() for m in matches], [m.end() for m in matches]
+    admitted: list[tuple[int, int, Entity]] = []
+    for e in sorted((e for e in entities if e.etype != OTHER_TYPE),
+                    key=lambda e: (e.start - e.end, e.start, e.id, e.etype, e.surface)):
+        first, last = bisect_right(ends, e.start), bisect_left(starts, e.end) - 1
+        if first > last:
+            continue  # covers no token
+        # the span widened to its tokens' edges: two footprints overlap exactly
+        # when their entities overlap in characters or share a token
+        lo, hi = min(e.start, starts[first]), max(e.end, ends[last])
+        if all((hi <= taken_lo or taken_hi <= lo) and e.id != taken.id for taken_lo, taken_hi, taken in admitted):
+            admitted.append((lo, hi, e))
+    return tuple(e for _, _, e in admitted)
+
+
 @dataclass
 class WindowReport:
     segments_emitted: int = 0
@@ -162,13 +190,11 @@ def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ..
 
     Label 0 is outside any entity; entity types follow in sorted order from 1.
     A token belongs to an entity when their character spans overlap; the
-    entity head is its first token. Entities that overlap, in characters or
-    in a shared token, are rejected: one token can carry one label only.
+    entity head is its first token. Entities that share a token or cover none
+    are rejected; character overlaps are rejected before (``validate_document``
+    for training, ``admit_entities`` for prediction).
     """
     label_ids = {etype: i for i, etype in enumerate(schema.entity_type_list(), start=1)}
-    for prev, nxt in zip(segment.entities, segment.entities[1:]):
-        if nxt.start < prev.end:
-            raise WindowingError(f"entities {prev.id} and {nxt.id} overlap; labels are ambiguous")
     labels = [0] * len(segment.tokens)
     spans: list[tuple[int, int]] = []
     for k, e in enumerate(segment.entities):
@@ -273,9 +299,6 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class EncodedSegment:
-    doc_id: str
-    window_start: int
-    window_end: int
     token_ids: tuple[int, ...]
     label_ids: tuple[int, ...]
     entities: tuple[Entity, ...]
@@ -292,9 +315,6 @@ def encode_segment(
 ) -> EncodedSegment:
     labels, spans = align_labels(segment, schema)
     return EncodedSegment(
-        doc_id=segment.doc_id,
-        window_start=segment.window_start,
-        window_end=segment.window_end,
         token_ids=tuple(vocab.id_for(t.surface) for t in segment.tokens),
         label_ids=labels,
         entities=segment.entities,

@@ -8,11 +8,11 @@ import pytest
 
 from medrex import autograd as ag
 from medrex.frames import Frame, FrameSet
-from medrex.model import masked_loss
+from medrex.model import ModelError, PredictedRelation, masked_loss
 from medrex.optim import LrSchedule, adam_step, lr_at
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
-from medrex.windowing import WindowingError, ordered_entity_pairs
+from medrex.windowing import WindowingError, encode_segment, make_segments, ordered_entity_pairs
 
 TOCILIZUMAB_TEXT = (
     "treatment with tocilizumab IV every 4 weeks from July to October, "
@@ -293,6 +293,41 @@ def corpus_stats_dict(stats) -> dict:
         "relation_counts": dict(sorted(stats.relation_counts.items())),
         "multi_frame_drug_fraction": stats.multi_frame_drug_fraction,
     }
+
+
+@ag.float32_compute()
+def predict_relations(model, doc, schema, vocab, class_map, window_chars, stride_chars, entities=None):
+    """``model.predict_relations`` in its earlier form, a module function fed the bundle's fields one by one.
+
+    The oracle for ``InferenceBundle.predict`` on entities that admission keeps whole.
+    """
+    if len(class_map) != model.config.num_classes:
+        raise ModelError(
+            f"class map has {len(class_map)} classes but the model was built for {model.config.num_classes}"
+        )
+    entity_list = tuple(entities) if entities is not None else doc.entities
+    work_doc = Document(doc.doc_id, doc.text, entity_list, ())
+    best: dict[tuple[str, str], tuple[float, str]] = {}
+    entity_by_id = {e.id: e for e in entity_list}
+    for segment in make_segments(work_doc, window_chars, stride_chars, model.config.max_positions):
+        encoded = encode_segment(segment, vocab, schema, (), class_map)
+        with ag.no_grad():
+            logits = model.forward(encoded, train=False)
+            probs = ag.row_softmax(logits).values
+        class_ids, top = probs.argmax(axis=1), probs.max(axis=1)
+        pairs = ordered_entity_pairs(len(encoded.entities))
+        for row in np.flatnonzero(class_ids).tolist():
+            a, b = pairs[row]
+            key = (encoded.entities[a].id, encoded.entities[b].id)
+            class_id, prob = int(class_ids[row]), float(top[row])
+            if key not in best or prob > best[key][0]:
+                best[key] = (prob, class_map.name_for(class_id))
+    predictions = [
+        PredictedRelation(rtype, entity_by_id[src], entity_by_id[tgt], prob)
+        for (src, tgt), (prob, rtype) in best.items()
+    ]
+    predictions.sort(key=lambda p: (p.source.start, p.source.end, p.target.start, p.target.end, p.rtype))
+    return predictions
 
 
 def softmax_rows(values: np.ndarray) -> np.ndarray:

@@ -362,6 +362,12 @@ def test_grad_check_samples_below_one_exit_6(samples, capsys):
     assert error["error"] == "config" and "--samples" in error["message"]
 
 
+def test_grad_check_negative_seed_exit_6(capsys):
+    assert run_cli(["grad-check", "--preset", "small", "--seed", -1]) == 6
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "--seed" in error["message"]
+
+
 def _drop_first(params):
     del params[next(iter(params))]
 
@@ -436,6 +442,14 @@ def _string_same_frame(header):
     header["config"]["include_same_frame"] = "yes"
 
 
+def _flip_same_frame(header):
+    header["config"]["include_same_frame"] = not header["config"]["include_same_frame"]
+
+
+def _shape_past_2_to_the_63(header):
+    header["params"][0]["shape"] = [2**32, 2**32]  # its element count wraps to 0 in int64
+
+
 def _params_as_mapping(header):
     header["params"] = {entry["name"]: entry["shape"] for entry in header["params"]}
 
@@ -458,6 +472,8 @@ def _entry_without_shape(header):
     (_zero_stride, "'stride_chars'"),
     (_stride_over_window, "'stride_chars'"),
     (_string_same_frame, "'include_same_frame'"),
+    (_flip_same_frame, "class map has"),
+    (_shape_past_2_to_the_63, "'tok_emb'"),
     (_params_as_mapping, "'params'"),
     (_entry_without_name, "'name'"),
     (_entry_without_shape, "'shape'"),
@@ -474,12 +490,13 @@ def test_predict_rejects_a_hand_edited_checkpoint_header(edit, key, workspace, t
     ("--lr", "-1"),
     ("--lr", "nan"),
     ("--null-weight", "-1"),
+    ("--seed", "-1"),
 ])
 def test_train_rejects_bad_values_before_training(flag, value, workspace, tmp_path, capsys):
     out = tmp_path / "t"
     assert run_cli(["train", "--data", workspace / "data", "--out", out, flag, value, *TINY_MODEL_FLAGS]) == 3
     error = json.loads(capsys.readouterr().err)
-    name = {"--lr": "peak_lr", "--null-weight": "null_class_weight"}[flag]
+    name = {"--lr": "peak_lr", "--null-weight": "null_class_weight", "--seed": "seed"}[flag]
     assert error["error"] == "validation" and name in error["message"]
     assert not out.exists()
 

@@ -9,12 +9,12 @@ from medrex import autograd as ag
 from medrex import model as model_module
 from medrex.model import (
     BaselinePairModel,
+    InferenceBundle,
     ModelConfig,
     ModelError,
     PairwiseREModel,
     grad_check_fixture,
     masked_loss,
-    predict_relations,
 )
 from medrex.optim import finite_diff_check
 from medrex.schema import CORP_HUS
@@ -68,6 +68,8 @@ def test_config_validation():
         _config(label_emb_dim=9)
     with pytest.raises(ModelError, match="num_classes"):
         _config(num_classes=1)
+    with pytest.raises(ModelError, match="seed must be at least 0, got -1"):
+        _config(seed=-1)
     cfg = _config()
     assert cfg.encoder_ffn_dim == 4 * cfg.d_model
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
@@ -293,7 +295,6 @@ def _toy_segment(cfg, n_tokens=10, n_entities=3, seed=0):
         for _ in ordered_entity_pairs(n_entities)
     )
     return EncodedSegment(
-        doc_id="toy", window_start=0, window_end=n_tokens,
         token_ids=token_ids, label_ids=tuple(label_ids),
         entities=(), entity_spans=tuple(spans), class_ids=class_ids,
     )
@@ -330,6 +331,46 @@ def test_forward_only_materialises_entity_head_pairs(monkeypatch):
     heads = {s[0] for s in segment.entity_spans}
     for i, j in scored:
         assert i in heads and j in heads
+
+
+# The parameter registration order, which fixes each parameter's slice of the
+# init stream and the checkpoint layout (one encoder layer).
+ENCODER_PARAMETERS = [
+    "tok_emb", "pos_emb",
+    "enc0.attn.wq", "enc0.attn.wk", "enc0.attn.wv", "enc0.attn.wo",
+    "enc0.attn.bq", "enc0.attn.bk", "enc0.attn.bv", "enc0.attn.bo",
+    "enc0.ln1.gain", "enc0.ln1.bias",
+    "enc0.ffn.fc1.w", "enc0.ffn.fc1.b", "enc0.ffn.fc2.w", "enc0.ffn.fc2.b",
+    "enc0.ln2.gain", "enc0.ln2.bias",
+]
+PAIRWISE_PARAMETERS = ENCODER_PARAMETERS + [
+    "label_emb",
+    "fuse.attn.wq", "fuse.attn.wk", "fuse.attn.wv", "fuse.attn.wo",
+    "fuse.attn.bq", "fuse.attn.bk", "fuse.attn.bv", "fuse.attn.bo",
+    "fuse.ln.gain", "fuse.ln.bias",
+    "relpos_emb", "pair.fc1.w", "pair.fc1.b", "pair.fc2.w", "pair.fc2.b",
+]
+BASELINE_PARAMETERS = ENCODER_PARAMETERS + ["clf.w", "clf.b"]
+
+
+@pytest.mark.parametrize("model_class, names", [
+    (PairwiseREModel, PAIRWISE_PARAMETERS),
+    (BaselinePairModel, BASELINE_PARAMETERS),
+])
+def test_parameters_register_in_the_pinned_order_and_draw_the_init_stream_in_it(model_class, names):
+    cfg = _config(seed=11)
+    store = model_class(cfg).params
+    assert [name for name, _ in store.items()] == names
+    # replay the seeded init stream in that order: weight matrices draw, biases and gains do not
+    rng = np.random.default_rng(cfg.seed)
+    for name, p in store.items():
+        if name.endswith(".gain"):
+            expected = np.ones(p.values.shape)
+        elif name.endswith((".b", ".bias", ".bq", ".bk", ".bv", ".bo")):
+            expected = np.zeros(p.values.shape)
+        else:
+            expected = rng.normal(0.0, 0.02, size=p.values.shape)
+        assert np.array_equal(p.values, expected), name
 
 
 def test_baseline_marker_sequence():
@@ -380,7 +421,7 @@ def test_predict_relations_null_bias_yields_nothing():
     cfg = _config(vocab_size=len(vocab), num_classes=len(class_map))
     model = PairwiseREModel(cfg)
     model.params["pair.fc2.b"].values[0] = 100.0
-    assert predict_relations(model, doc, CORP_HUS, vocab, class_map, 300, 150) == []
+    assert InferenceBundle(model, vocab, class_map, CORP_HUS, 300, 150).predict(doc) == []
 
 
 def test_predict_relations_stride_invariant_for_short_doc():
@@ -389,8 +430,8 @@ def test_predict_relations_stride_invariant_for_short_doc():
     class_map = RelationClassMap(CORP_HUS)
     cfg = _config(vocab_size=len(vocab), num_classes=len(class_map))
     model = PairwiseREModel(cfg)
-    a = predict_relations(model, doc, CORP_HUS, vocab, class_map, 300, 150)
-    b = predict_relations(model, doc, CORP_HUS, vocab, class_map, 300, 300)
+    a = InferenceBundle(model, vocab, class_map, CORP_HUS, 300, 150).predict(doc)
+    b = InferenceBundle(model, vocab, class_map, CORP_HUS, 300, 300).predict(doc)
     assert a == b
 
 
@@ -400,7 +441,7 @@ def test_predict_relations_class_map_size_checked():
     cfg = _config(vocab_size=len(vocab), num_classes=5)
     model = PairwiseREModel(cfg)
     with pytest.raises(ModelError, match="class"):
-        predict_relations(model, doc, CORP_HUS, vocab, RelationClassMap(CORP_HUS), 300, 150)
+        InferenceBundle(model, vocab, RelationClassMap(CORP_HUS), CORP_HUS, 300, 150)
 
 
 def _densest_corpus_segment():
@@ -509,7 +550,7 @@ def test_predict_relations_scores_a_window_denser_than_max_positions_in_pieces()
     class_map = RelationClassMap(CORP_HUS)
     model = PairwiseREModel(_config(vocab_size=len(vocab), num_classes=len(class_map), max_positions=64))
     model.params["pair.fc2.b"].values[1] = 100.0  # every scored pair predicts class 1
-    predictions = predict_relations(model, doc, CORP_HUS, vocab, class_map, 300, 150)
+    predictions = InferenceBundle(model, vocab, class_map, CORP_HUS, 300, 150).predict(doc)
     # only the pairs that share a 64-token piece are scored; the two drugs lie ~250 tokens apart
     assert {(p.source.id, p.target.id) for p in predictions} == {("T1", "T2"), ("T2", "T1"), ("T3", "T4"), ("T4", "T3")}
     assert all(p.source in doc.entities and p.target in doc.entities for p in predictions)

@@ -6,7 +6,8 @@ from medrex.frames import build_frames, decode_frames
 from medrex.schema import CORP_HUS, SAME_FRAME, resolve_profile
 from medrex.standoff import read_corpus_dir, serialize_standoff, validate_document
 from medrex.stats import corpus_stats
-from medrex.synth import GenConfig, GenerationError, generate_corpus, write_corpus
+from medrex.cli import main
+from medrex.synth import GenConfig, GenerationError, generate_corpus
 
 from .conftest import corpus_split, corpus_stats_dict, frames_to_relations, normalize_frameset
 
@@ -99,7 +100,7 @@ def test_write_corpus_roundtrip_and_manifest(tmp_path):
     cfg = GenConfig(seed=2, doc_count=6)
     docs = generate_corpus(cfg)
     out = str(tmp_path / "corpus")
-    write_corpus(docs, out, cfg)
+    assert main(["generate", "--seed", "2", "--docs", "6", "--out", out]) == 0
     again = read_corpus_dir(out, CORP_HUS)
     assert [d.doc_id for d in again] == [d.doc_id for d in docs]
     assert [d.text for d in again] == [d.text for d in docs]
@@ -155,7 +156,7 @@ def test_accented_characters_survive_file_roundtrip(tmp_path):
     accented = [e for d in docs for e in d.entities if any(ord(ch) > 127 for ch in e.surface)]
     assert accented, "expected accented entity surfaces to exercise multi-byte offsets"
     out = str(tmp_path / "c")
-    write_corpus(docs, out, cfg)
+    assert main(["generate", "--seed", "4", "--docs", "4", "--out", out]) == 0
     again = read_corpus_dir(out, CORP_HUS)
     for doc in again:
         for e in doc.entities:

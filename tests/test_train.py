@@ -1,13 +1,18 @@
 import functools
 import json
+import os
+import random
+import struct
+import tempfile
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from medrex import autograd as ag
+from medrex.checkpoint import CheckpointError
 from medrex.evaluate import evaluate
 from medrex.model import BaselinePairModel, ModelConfig, PairwiseREModel
 from medrex.schema import CORP_HUS, OTHER_TYPE, SAME_FRAME
@@ -18,6 +23,7 @@ from medrex.train import (
     InferenceBundle,
     TrainConfig,
     TrainingError,
+    TrainResult,
     _baseline_terms,
     _fit,
     _model_config,
@@ -28,13 +34,14 @@ from medrex.train import (
     save_bundle,
     train,
 )
-from medrex.windowing import RelationClassMap, Vocabulary, WindowingError
+from medrex.windowing import RelationClassMap, Vocabulary, WindowReport
 
 from .conftest import (
     accumulate_copying_every_first_gradient,
     baseline_batch_loss,
     cost_report_dict,
     pairwise_batch_loss,
+    predict_relations,
     whole_batch_fit,
 )
 
@@ -52,6 +59,8 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(TrainingError):
         TrainConfig(batch_size=0)
+    with pytest.raises(TrainingError, match="seed must be at least 0, got -1"):
+        TrainConfig(seed=-1)
     cfg = TrainConfig(window_chars=200)
     assert cfg.stride_chars == 100
 
@@ -132,6 +141,24 @@ def test_bundle_roundtrip_and_prediction_consistency(tmp_path, small_corpus):
     assert loaded.window_chars == result.train_config.window_chars
     for doc in small_corpus[:3]:
         assert loaded.predict(doc) == bundle.predict(doc)
+
+
+def test_bundle_predictions_match_the_module_function_form_on_the_seed_7_corpus():
+    corpus = generate_corpus(GenConfig(seed=7))
+    # the reference training run: the default model predicts relations after four epochs
+    result = train(corpus, CORP_HUS, TrainConfig(epochs=4, seed=7, peak_lr=3e-3, null_class_weight=0.3))
+    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
+    rng = random.Random(7)
+    scored = 0
+    for doc in corpus:
+        provided = [e for e in doc.entities if rng.random() >= 0.2]
+        for entities in (None, provided):
+            got = bundle.predict(doc, entities)
+            want = predict_relations(result.model, doc, CORP_HUS, result.vocab, result.class_map, 300, 150, entities)
+            assert [(p.rtype, p.source.id, p.target.id, p.prob) for p in got] == [
+                (p.rtype, p.source.id, p.target.id, p.prob) for p in want]
+            scored += len(got)
+    assert scored > 0
 
 
 def test_saved_checkpoints_bit_identical(tmp_path, small_corpus):
@@ -471,19 +498,83 @@ def _tagged_texts(draw):
 @settings(max_examples=200, deadline=None)
 @given(_tagged_texts())
 def test_predictions_reference_provided_entities_and_ignore_their_order(tagged):
-    """ROADMAP item 1: on untrusted input, predict references only provided entities or raises WindowingError.
+    """ROADMAP item 1: on untrusted input, predict never raises and references only provided entities.
 
-    The outcome is the same for every order of the entity list.
+    The predictions are the same for every order of the entity list.
     """
     text, entities, shuffled = tagged
     doc = Document("untrusted", text, (), ())
     outcomes = []
     for order in (entities, shuffled, entities[::-1]):
-        try:
-            predictions = _untrained_bundle().predict(doc, order)
-        except WindowingError as error:
-            outcomes.append(type(error))
-            continue
+        predictions = _untrained_bundle().predict(doc, order)
         assert all(p.source in entities and p.target in entities for p in predictions)
         outcomes.append([(p.rtype, p.source, p.target, p.prob) for p in predictions])
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_prediction_skips_a_whitespace_entity_and_one_of_two_that_share_a_token():
+    text = "aspirine 10mg  le soir"
+    entities = [
+        Entity("T1", "Drug", 0, 8, "aspirine"),
+        Entity("T2", "Dosage", 9, 11, "10"),
+        Entity("T3", "Route", 11, 13, "mg"),  # shares the token "10mg" with T2
+        Entity("T4", "Route", 13, 15, "  "),  # covers no token
+        Entity("T5", "Frequency", 15, 22, "le soir"),
+    ]
+    doc = Document("tagged", text, (), ())
+    bundle = _untrained_bundle()
+    bias = bundle.model.params["pair.fc2.b"].values
+    saved = bias.copy()
+    bias[1] = 100.0  # every scored pair predicts class 1
+    try:
+        predictions = bundle.predict(doc, entities)
+    finally:
+        bias[...] = saved
+    # T2 and T3 are equally long and T2 comes first; T4 is skipped
+    pairs = {(p.source.id, p.target.id) for p in predictions}
+    assert pairs == {(a, b) for a in ("T1", "T2", "T5") for b in ("T1", "T2", "T5") if a != b}
+
+
+@functools.cache
+def _untrained_checkpoint() -> bytes:
+    """``_untrained_bundle`` saved as a checkpoint."""
+    bundle = _untrained_bundle()
+    result = TrainResult(bundle.model, bundle.vocab, bundle.class_map, CORP_HUS,
+                         TrainConfig(window_chars=40), WindowReport())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_bundle(path, result)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(0, 10**6),
+    edit=st.sampled_from(["remove", "rename", "reshape"]),
+    name=st.text(max_size=12),
+    shape=st.lists(st.integers(0, 2**40), max_size=3),
+)
+@example(index=0, edit="reshape", name="", shape=[2**32, 2**32])  # an element count past 2**63
+@example(index=0, edit="reshape", name="", shape=[0, 2**40, 2**40])  # no elements, too large for numpy
+def test_load_bundle_rejects_a_removed_renamed_or_reshaped_parameter(index, edit, name, shape):
+    """ROADMAP item 1: any such edit of the header raises CheckpointError; the payloads stay as they are."""
+    blob = _untrained_checkpoint()
+    (length,) = struct.unpack("<Q", blob[1:9])
+    header = json.loads(blob[9:9 + length])
+    entry = header["params"][index % len(header["params"])]
+    if edit == "remove":
+        header["params"].remove(entry)
+    elif edit == "rename":
+        assume(name != entry["name"])
+        entry["name"] = name
+    else:
+        assume(shape != entry["shape"])
+        entry["shape"] = shape
+    raw = json.dumps(header).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edited.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob[:1] + struct.pack("<Q", len(raw)) + raw + blob[9 + length:])
+        with pytest.raises(CheckpointError):
+            load_bundle(path)

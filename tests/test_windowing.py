@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medrex.frames import augment_document
-from medrex.schema import CORP_HUS, SAME_FRAME
+from medrex.schema import CORP_HUS, OTHER_TYPE, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
 from medrex.windowing import (
@@ -13,6 +13,7 @@ from medrex.windowing import (
     Segment,
     Vocabulary,
     WindowingError,
+    admit_entities,
     align_labels,
     count_unreachable_relations,
     encode_segment,
@@ -158,6 +159,68 @@ def test_align_labels_rejects_entities_that_share_a_token(text, spans):
     seg = make_segments(doc, 300, 150)[0]
     with pytest.raises(WindowingError, match="T1 and T2 share a token"):
         align_labels(seg, CORP_HUS)
+
+
+_ADMISSION_TEXT = "aspirin 10mg  daily IV"
+_ADMISSION_ENTITIES = [
+    Entity("T1", "Drug", 0, 7, "aspirin"),
+    Entity("T2", "Dosage", 8, 10, "10"),  # shares the token "10mg" with T3
+    Entity("T3", "Route", 10, 12, "mg"),
+    Entity("T4", "Route", 12, 14, "  "),  # whitespace only: covers no token
+    Entity("T5", "Frequency", 14, 19, "daily"),
+    Entity("T6", "Frequency", 17, 22, "ly IV"),  # overlaps T5 in "ly"
+    Entity("T7", "Route", 20, 22, "IV"),  # overlaps T6 only
+    Entity("T8", OTHER_TYPE, 0, 7, "aspirin"),
+]
+
+
+@pytest.mark.parametrize("extra, admitted", [
+    ([], ["T1", "T5", "T2", "T7"]),  # of equal lengths the earlier wins: T5 over T6, T2 over T3
+    ([Entity("T9", "Drug", 0, 12, "aspirin 10mg")], ["T9", "T5", "T7"]),  # the longest wins
+    ([Entity("T10", "Route", 20, 22, "IV")], ["T1", "T5", "T2", "T10"]),  # T7's span: the lower id wins
+    ([Entity("T2", "Route", 20, 22, "IV")], ["T1", "T5", "T2", "T7"]),  # a second T2 is left out
+])
+def test_admit_entities_skips_tokenless_entities_and_keeps_the_longest_then_earliest(extra, admitted):
+    entities = _ADMISSION_ENTITIES + extra
+    for order in (entities, entities[::-1], random.Random(3).sample(entities, len(entities))):
+        assert [e.id for e in admit_entities(_ADMISSION_TEXT, order)] == admitted
+
+
+@st.composite
+def _entity_sets(draw):
+    text = draw(st.text(st.sampled_from(list("ab1 ,.-\n\t") + ["é", "日"]), min_size=1, max_size=50))
+    entities = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, len(text) - 1))
+        end = draw(st.integers(start + 1, min(len(text), start + 8)))
+        etype = draw(st.sampled_from(["Drug", "Route", OTHER_TYPE]))
+        entities.append(Entity(f"T{draw(st.integers(1, 4))}", etype, start, end, text[start:end]))
+    return text, entities, draw(st.permutations(entities))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entity_sets())
+def test_admit_entities_matches_a_greedy_admission_over_character_and_token_sets(drawn):
+    """Against an oracle that compares ids and the sets of characters and of covered tokens directly."""
+    text, entities, shuffled = drawn
+    tokens = tokenize(text)
+
+    def covered(e):
+        return {k for k, t in enumerate(tokens) if t.start < e.end and e.start < t.end}
+
+    def conflict(a, b):
+        return a.id == b.id or bool(set(range(a.start, a.end)) & set(range(b.start, b.end)) or covered(a) & covered(b))
+
+    expected = []
+    ranked = sorted(
+        (e for e in entities if e.etype != OTHER_TYPE and covered(e)),
+        key=lambda e: (-(e.end - e.start), e.start, e.id, e.etype, e.surface),
+    )
+    for e in ranked:
+        if not any(conflict(e, kept) for kept in expected):
+            expected.append(e)
+    assert list(admit_entities(text, entities)) == expected
+    assert list(admit_entities(text, shuffled)) == expected
 
 
 def _encoded(text, spans, relations):
