@@ -487,10 +487,6 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _node(values, (x,), backprop, "transpose")
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    return mul(x, Tensor(np.asarray(float(factor))))
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into the ``.grad`` of every reachable leaf, freeing the graph as it goes.
 

@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import CheckpointError
 from .evaluate import EvalReport, evaluate, format_report, predictions_to_relations
@@ -27,7 +29,7 @@ from .frames import augment_document, build_frames, decode_frames, frames_to_jso
 from .model import ModelConfig, ModelError, PredictedRelation, grad_check_fixture, masked_loss
 from .optim import finite_diff_check
 from .schema import SchemaError, UnknownProfileError, read_key_value_file, resolve_profile
-from .standoff import Document, StandoffError, read_corpus_dir, read_document, write_corpus_dir
+from .standoff import Document, StandoffError, entity_json, read_corpus_dir, read_document, write_corpus_dir
 from .stats import corpus_stats
 from .synth import GenConfig, GenerationError, generate_corpus
 from .train import (
@@ -52,7 +54,8 @@ ENV_PREFIX = "MEDREX_"
 EXIT_CODE_HELP = """exit codes:
   0  success
   2  usage error (unknown flag, missing required argument)
-  3  validation failure (standoff input, training data, model input)
+  3  validation failure (standoff input, training data, model input) or
+     non-finite values in a forward or backward pass (a diverging run)
   4  missing path, missing companion file, or a path of the wrong kind
      (a file where a directory is expected, or the reverse)
   5  unknown schema profile
@@ -175,19 +178,16 @@ def _relation_row(doc_id: str, p: PredictedRelation) -> str:
         "doc_id": doc_id,
         "rtype": p.rtype,
         "prob": round(p.prob, 6),
-        "source": {"id": p.source.id, "type": p.source.etype, "start": p.source.start,
-                   "end": p.source.end, "text": p.source.surface},
-        "target": {"id": p.target.id, "type": p.target.etype, "start": p.target.start,
-                   "end": p.target.end, "text": p.target.surface},
+        "source": entity_json(p.source),
+        "target": entity_json(p.target),
     }, ensure_ascii=False, sort_keys=True)
 
 
-def _write_prediction_dir(out_dir: str, docs: list[Document], entities_map: dict,
+def _write_prediction_dir(out_dir: str, docs: list[Document],
                           predictions: dict[str, list[PredictedRelation]]) -> list[str]:
-    """Predicted relations as standoff over the given entities, plus relations.jsonl rows."""
+    """Predicted relations as standoff over each document's own entities, plus relations.jsonl rows."""
     pred_docs = [
-        Document(doc.doc_id, doc.text, tuple(entities_map[doc.doc_id]),
-                 tuple(predictions_to_relations(predictions[doc.doc_id])))
+        Document(doc.doc_id, doc.text, doc.entities, tuple(predictions_to_relations(predictions[doc.doc_id])))
         for doc in docs
     ]
     write_corpus_dir(pred_docs, out_dir)
@@ -212,8 +212,7 @@ def _emit_reports(out_dir: str | None, reports: dict[str, EvalReport]) -> list[s
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_generate(args) -> int:
-    options = Options(args)
+def _cmd_generate(options: Options) -> int:
     out = options.path("out", required=True)
     cfg = GenConfig(
         seed=options.get("seed"),
@@ -235,8 +234,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
-    options = Options(args)
+def _cmd_stats(options: Options) -> int:
     data = options.path("data", required=True)
     schema = resolve_profile(options.get("schema"))
     docs = read_corpus_dir(data, schema, strict=not options.get("lax"))
@@ -245,8 +243,7 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _cmd_convert_frames(args) -> int:
-    options = Options(args)
+def _cmd_convert_frames(options: Options) -> int:
     data = options.path("data", required=True)
     out = options.path("out")
     mode = options.get("mode")
@@ -294,8 +291,7 @@ def _model_overrides_from(options: Options) -> dict | None:
     return {name: value for name, value in overrides.items() if value is not None} or None
 
 
-def _cmd_train(args) -> int:
-    options = Options(args)
+def _cmd_train(options: Options) -> int:
     data = options.path("data", required=True)
     out = options.path("out", required=True)
     schema = resolve_profile(options.get("schema"))
@@ -318,8 +314,7 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
-    options = Options(args)
+def _cmd_predict(options: Options) -> int:
     data = options.path("data", required=True)
     out = options.path("out", required=True)
     ckpt = options.path("ckpt", required=True)
@@ -327,14 +322,13 @@ def _cmd_predict(args) -> int:
     bundle = load_bundle(ckpt)
     docs = read_corpus_dir(data, bundle.schema, strict=strict)
     predictions = bundle.predict_corpus(docs)
-    outputs = _write_prediction_dir(out, docs, {d.doc_id: d.entities for d in docs}, predictions)
+    outputs = _write_prediction_dir(out, docs, predictions)
     _write_manifest(out, options, [data, ckpt], outputs)
     print(f"predicted relations for {len(docs)} documents into {out}")
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    options = Options(args)
+def _cmd_evaluate(options: Options) -> int:
     gold_dir = options.path("gold", required=True)
     pred_dir = options.path("pred", required=True)
     out = options.path("out")
@@ -359,8 +353,7 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_end_to_end(args) -> int:
-    options = Options(args)
+def _cmd_end_to_end(options: Options) -> int:
     data = options.path("data", required=True)
     gold_dir = options.path("gold", required=True)
     out = options.path("out", required=True)
@@ -372,14 +365,13 @@ def _cmd_end_to_end(args) -> int:
     if missing:
         raise FileNotFoundError(f"missing entity files for documents: {', '.join(missing)}")
     _require_gold_text(gold_docs, entity_docs, "--data")
-    entities_map = {doc_id: list(d.entities) for doc_id, d in entity_docs.items() if d is not None}
-    predictions = bundle.predict_corpus(gold_docs, entities_map)
-    outputs = _write_prediction_dir(out, gold_docs, entities_map, predictions)
+    docs = [entity_docs[gold.doc_id] for gold in gold_docs]
+    predictions = bundle.predict_corpus(docs)
+    outputs = _write_prediction_dir(out, docs, predictions)
     frame_lines = []
-    for doc_id in sorted(d.doc_id for d in gold_docs):
-        relations = predictions_to_relations(predictions[doc_id])
-        frames = decode_frames(entities_map[doc_id], relations, bundle.schema, doc_id=doc_id)
-        frame_lines.extend(frames_to_jsonl(entity_docs[doc_id], frames))
+    for doc in sorted(docs, key=lambda d: d.doc_id):  # doc-id order, not read_corpus_dir's file-name order
+        relations = predictions_to_relations(predictions[doc.doc_id])
+        frame_lines.extend(frames_to_jsonl(doc, decode_frames(doc.entities, relations, bundle.schema, doc.doc_id)))
     frames_path = os.path.join(out, "frames.jsonl")
     _write_lines(frames_path, frame_lines)
     reports = {mode: evaluate(gold_docs, predictions, mode, bundle.schema) for mode in ("strict", "lenient")}
@@ -388,8 +380,7 @@ def _cmd_end_to_end(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cost_report(args) -> int:
-    options = Options(args)
+def _cmd_cost_report(options: Options) -> int:
     data = options.path("data", required=True)
     out = options.path("out")
     schema = resolve_profile(options.get("schema"))
@@ -412,8 +403,7 @@ GRAD_CHECK_PRESETS = {
 }
 
 
-def _cmd_grad_check(args) -> int:
-    options = Options(args)
+def _cmd_grad_check(options: Options) -> int:
     preset = options.get("preset")
     sizes = GRAD_CHECK_PRESETS[preset]
     samples = options.get("samples")
@@ -582,6 +572,7 @@ _ERROR_EXITS = [
     ((NotADirectoryError, IsADirectoryError, FileExistsError), "wrong-path-kind", EXIT_MISSING_PATH),
     ((StandoffError, TrainingError, GenerationError, WindowingError, ModelError), "validation", EXIT_VALIDATION),
     ((ConfigError, SchemaError, CheckpointError), "config", EXIT_CONFIG),
+    ((FloatingPointError,), "non-finite", EXIT_VALIDATION),
 ]
 
 
@@ -589,14 +580,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # autograd reports a non-finite value itself (exit 3); numpy's warning would only precede the JSON
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(Options(args))
     except tuple(exc for excs, _, _ in _ERROR_EXITS for exc in excs) as error:
         for exc_types, label, code in _ERROR_EXITS:
             if isinstance(error, exc_types):
-                message = str(error)
-                if isinstance(error, KeyError) and message.startswith(("'", '"')):
-                    message = message[1:-1]
-                print(json.dumps({"error": label, "message": message}), file=sys.stderr)
+                print(json.dumps({"error": label, "message": str(error)}), file=sys.stderr)
                 return code
         raise AssertionError("unreachable")
 

@@ -59,7 +59,10 @@ class EvalRow:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    undefined_precision: bool = False
+
+    @property
+    def undefined_precision(self) -> bool:
+        return self.tp + self.fp == 0
 
     @property
     def support(self) -> int:
@@ -174,8 +177,6 @@ def evaluate(
         micro.tp += r.tp
         micro.fp += r.fp
         micro.fn += r.fn
-        r.undefined_precision = (r.tp + r.fp) == 0
-    micro.undefined_precision = (micro.tp + micro.fp) == 0
     return EvalReport(mode=mode, rows=rows, micro=micro)
 
 

@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .schema import SAME_FRAME, SchemaProfile
-from .standoff import Document, Entity, Relation
+from .standoff import Document, Entity, Relation, entity_json
 
 
 @dataclass(frozen=True)
@@ -171,20 +171,12 @@ def augment_document(doc: Document, schema: SchemaProfile) -> Document:
 def frames_to_jsonl(doc: Document, fs: FrameSet) -> list[str]:
     """One JSON object per frame, with resolved entity spans."""
     by_id = doc.entity_index()
-
-    def entity_payload(eid: str) -> dict:
-        e = by_id[eid]
-        return {"id": e.id, "type": e.etype, "start": e.start, "end": e.end, "text": e.surface}
-
     lines = []
     for frame in fs.frames:
         payload = {
             "doc_id": fs.doc_id,
-            "drug": entity_payload(frame.drug),
-            "links": [
-                {**entity_payload(attr), "relation": rtype}
-                for attr, rtype in frame.links
-            ],
+            "drug": entity_json(by_id[frame.drug]),
+            "links": [{**entity_json(by_id[attr]), "relation": rtype} for attr, rtype in frame.links],
         }
         lines.append(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return lines

@@ -150,7 +150,7 @@ def _self_attention(
     qh = ag.transpose(ag.reshape(q, (seq, heads, head_dim)), (1, 0, 2))
     kh_t = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 2, 0))
     vh = ag.transpose(ag.reshape(v, (seq, heads, head_dim)), (1, 0, 2))
-    scores = ag.scale(ag.matmul(qh, kh_t), 1.0 / np.sqrt(head_dim))
+    scores = ag.mul(ag.matmul(qh, kh_t), 1.0 / np.sqrt(head_dim))
     weights = ag.dropout(ag.row_softmax(scores), dropout_p, rng, train)
     mixed = ag.matmul(weights, vh)
     merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (seq, width))
@@ -403,13 +403,9 @@ class InferenceBundle:
         predictions.sort(key=lambda p: (p.source.start, p.source.end, p.target.start, p.target.end, p.rtype))
         return predictions
 
-    def predict_corpus(
-        self, docs: list[Document], entities_map: dict[str, list[Entity]] | None = None
-    ) -> dict[str, list[PredictedRelation]]:
-        return {
-            doc.doc_id: self.predict(doc, entities_map.get(doc.doc_id) if entities_map else None)
-            for doc in docs
-        }
+    def predict_corpus(self, docs: list[Document]) -> dict[str, list[PredictedRelation]]:
+        """Each document's relations over its own entities, keyed by document id."""
+        return {doc.doc_id: self.predict(doc) for doc in docs}
 
 
 def grad_check_fixture(d_model: int, seq: int, n_entities: int, seed: int) -> tuple[PairwiseREModel, EncodedSegment]:

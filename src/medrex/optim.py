@@ -38,7 +38,11 @@ class ParamStore:
         return self.params.items()
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite every parameter, cast to its dtype; the names and shapes must match exactly."""
+        """Overwrite every parameter, cast to its dtype.
+
+        The names and shapes must match exactly, and every value must be finite
+        once cast (a float64 past float32's range is not); else CheckpointError.
+        """
         missing = [name for name in self.params if name not in values]
         unknown = [name for name in values if name not in self.params]
         if missing or unknown:
@@ -49,6 +53,8 @@ class ParamStore:
             if p.values.shape != values[name].shape:
                 raise CheckpointError(f"parameter {name!r}: expected shape {p.values.shape}, got {values[name].shape}")
             p.values[...] = values[name]
+            if not np.isfinite(p.values).all():
+                raise CheckpointError(f"parameter {name!r}: non-finite values after the cast to {p.values.dtype}")
 
 
 def adam_step(store: ParamStore, lr: float) -> None:

@@ -21,11 +21,15 @@ SAME_FRAME = "SAME_FRAME"
 OTHER_TYPE = "OTHER"
 
 
+# a profile's type inventories, in field and file order
+_TYPE_KEYS = ("entity_types", "relation_types", "attribute_types", "drug_types")
+
+
 class SchemaError(ValueError):
     """Ill-formed schema profile."""
 
 
-class UnknownProfileError(KeyError):
+class UnknownProfileError(LookupError):
     """Requested profile name is not registered."""
 
 
@@ -38,10 +42,8 @@ class SchemaProfile:
     drug_types: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "entity_types", frozenset(self.entity_types))
-        object.__setattr__(self, "relation_types", frozenset(self.relation_types))
-        object.__setattr__(self, "attribute_types", frozenset(self.attribute_types))
-        object.__setattr__(self, "drug_types", frozenset(self.drug_types))
+        for key in _TYPE_KEYS:
+            object.__setattr__(self, key, frozenset(getattr(self, key)))
         if not self.relation_types:
             raise SchemaError(f"profile {self.name!r}: relation_types may not be empty")
         if SAME_FRAME in self.relation_types:
@@ -65,23 +67,18 @@ class SchemaProfile:
         return etype in self.entity_types or etype == OTHER_TYPE
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "entity_types": sorted(self.entity_types),
-            "relation_types": sorted(self.relation_types),
-            "attribute_types": sorted(self.attribute_types),
-            "drug_types": sorted(self.drug_types),
-        }
+        return {"name": self.name, **{key: sorted(getattr(self, key)) for key in _TYPE_KEYS}}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SchemaProfile":
-        return cls(
-            name=payload["name"],
-            entity_types=frozenset(payload["entity_types"]),
-            relation_types=frozenset(payload["relation_types"]),
-            attribute_types=frozenset(payload["attribute_types"]),
-            drug_types=frozenset(payload["drug_types"]),
-        )
+        """Rebuild a saved profile; a value of the wrong type raises SchemaError naming its key."""
+        if not isinstance(payload["name"], str):
+            raise SchemaError(f"profile key 'name' must be a string, got {payload['name']!r}")
+        for key in _TYPE_KEYS:
+            value = payload[key]
+            if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+                raise SchemaError(f"profile key {key!r} must be a list of strings, got {value!r}")
+        return cls(payload["name"], *(payload[key] for key in _TYPE_KEYS))
 
 
 CORP_HUS = SchemaProfile(
@@ -122,7 +119,7 @@ N2C2 = SchemaProfile(
 BUILTIN_PROFILES: dict[str, SchemaProfile] = {p.name: p for p in (CORP_HUS, N2C2)}
 
 
-_PROFILE_KEYS = {"name", "entity_types", "relation_types", "attribute_types", "drug_types"}
+_PROFILE_KEYS = {"name", *_TYPE_KEYS}
 
 
 def read_key_value_file(path: str, error: type[Exception]) -> list[tuple[int, str, str]]:
@@ -164,13 +161,7 @@ def load_profile(path: str) -> SchemaProfile:
     def split(value: str) -> frozenset[str]:
         return frozenset(item.strip() for item in value.split(",") if item.strip())
 
-    return SchemaProfile(
-        name=raw["name"],
-        entity_types=split(raw["entity_types"]),
-        relation_types=split(raw["relation_types"]),
-        attribute_types=split(raw["attribute_types"]),
-        drug_types=split(raw["drug_types"]),
-    )
+    return SchemaProfile(raw["name"], *(split(raw[key]) for key in _TYPE_KEYS))
 
 
 def resolve_profile(name_or_path: str) -> SchemaProfile:

@@ -24,6 +24,11 @@ class Entity:
     surface: str
 
 
+def entity_json(e: Entity) -> dict:
+    """An entity as the JSON reports write it (``relations.jsonl``, ``frames.jsonl``)."""
+    return {"id": e.id, "type": e.etype, "start": e.start, "end": e.end, "text": e.surface}
+
+
 @dataclass(frozen=True)
 class Relation:
     id: str
@@ -56,10 +61,6 @@ class Violation:
 class StandoffError(ValueError):
     """Unparseable or invalid standoff input."""
 
-    def __init__(self, message: str, violations: list[Violation] | None = None):
-        super().__init__(message)
-        self.violations = violations or []
-
 
 def _escape_surface(slice_text: str) -> str:
     return slice_text.replace("\n", " ")
@@ -78,7 +79,7 @@ def parse_standoff(
     annotation line. Lax mode maps unknown entity types to the ``OTHER``
     catch-all, drops relations of unknown type, and skips unsupported lines.
     Structural errors (bad offsets, surface mismatches, dangling relation
-    arguments) are rejected in both modes.
+    arguments, a repeated entity id) are rejected in both modes.
     """
     entities: list[Entity] = []
     relations: list[Relation] = []
@@ -115,6 +116,8 @@ def parse_standoff(
                     f"{where}: surface mismatch for {marker}: annotation says {fields[2]!r}, "
                     f"text slice is {slice_text!r}"
                 )
+            if marker in seen_ids:
+                raise StandoffError(f"{where}: entity id {marker} is used twice")
             if etype not in schema.entity_types:
                 if strict:
                     raise StandoffError(f"{where}: unknown entity type {etype!r} for {marker}")
@@ -157,7 +160,7 @@ def parse_standoff(
     violations = validate_document(doc, schema) if strict else []
     if violations:
         summary = "; ".join(str(v) for v in violations[:5])
-        raise StandoffError(f"{doc_id}: document fails validation: {summary}", violations)
+        raise StandoffError(f"{doc_id}: document fails validation: {summary}")
     return doc
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import autograd as ag
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -83,15 +83,13 @@ class TrainConfig:
 
 
 @dataclass
-class TrainResult:
-    model: PairwiseREModel
-    vocab: Vocabulary
-    class_map: RelationClassMap
-    schema: SchemaProfile
+class TrainResult(InferenceBundle):
+    """A trained bundle with the run that made it."""
+
     train_config: TrainConfig
     window_report: WindowReport
-    run_log: list[dict] = field(default_factory=list)
-    epoch_seconds: list[float] = field(default_factory=list)
+    run_log: list[dict]
+    epoch_seconds: list[float]
 
     @property
     def total_seconds(self) -> float:
@@ -171,7 +169,7 @@ def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_terms)
             n_terms, terms = batch_terms([encoded[i] for i in order[batch_start:batch_start + config.batch_size]])
             total = None
             for term in terms:
-                ag.backward(ag.scale(term, 1.0 / n_terms))
+                ag.backward(ag.mul(term, 1.0 / n_terms))
                 total = term.values if total is None else total + term.values
             # the same float32 chain as summing the terms' graph, then scaling it
             loss = total * ag.compute_dtype().type(1.0 / n_terms)
@@ -219,7 +217,7 @@ def train(
     config: TrainConfig,
     model_overrides: dict | None = None,
 ) -> TrainResult:
-    """Train the pairwise model; returns the model plus everything inference needs."""
+    """Train the pairwise model; returns it as a bundle that predicts, with the run's log and reports."""
     encoded, vocab, class_map, report = _prepare_segments(corpus, schema, config)
     model_config = _model_config(vocab, class_map, schema, config, encoded, model_overrides)
     model = PairwiseREModel(model_config)
@@ -229,6 +227,8 @@ def train(
         vocab=vocab,
         class_map=class_map,
         schema=schema,
+        window_chars=config.window_chars,
+        stride_chars=config.stride_chars,
         train_config=config,
         window_report=report,
         run_log=run_log,
@@ -242,8 +242,8 @@ def save_bundle(path: str, result: TrainResult) -> None:
         "schema": result.schema.to_dict(),
         "vocab": result.vocab.tokens,
         "include_same_frame": result.class_map.include_same_frame,
-        "window_chars": result.train_config.window_chars,
-        "stride_chars": result.train_config.stride_chars,
+        "window_chars": result.window_chars,
+        "stride_chars": result.stride_chars,
         "train": result.train_config.to_dict(),
     }
     save_checkpoint(path, {name: p.values for name, p in result.model.params.items()}, config)

@@ -139,7 +139,7 @@ def corpus_split(corpus: list[Document], train_fraction: float, seed: int) -> tu
 
 def total(x: ag.Tensor) -> ag.Tensor:
     """Scalar sum of a tensor for tests, built from the ops the models use."""
-    return ag.scale(ag.reduce_mean(x), x.values.size)
+    return ag.mul(ag.reduce_mean(x), x.values.size)
 
 
 def concat_pair_logits(model, fused: ag.Tensor, pairs) -> ag.Tensor:
@@ -204,7 +204,7 @@ def self_attention_with_two_key_transposes(store, name, x, heads, dropout_p, rng
     qh = ag.transpose(ag.reshape(q, (seq, heads, head_dim)), (1, 0, 2))
     kh = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 0, 2))
     vh = ag.transpose(ag.reshape(v, (seq, heads, head_dim)), (1, 0, 2))
-    scores = ag.scale(ag.matmul(qh, ag.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
+    scores = ag.mul(ag.matmul(qh, ag.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
     weights = ag.dropout(ag.row_softmax(scores), dropout_p, rng, train)
     mixed = ag.matmul(weights, vh)
     merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (seq, width))
@@ -362,7 +362,7 @@ def _mean_loss(losses: list[ag.Tensor]) -> ag.Tensor:
     total = losses[0]
     for item in losses[1:]:
         total = ag.add(total, item)
-    return ag.scale(total, 1.0 / len(losses))
+    return ag.mul(total, 1.0 / len(losses))
 
 
 def pairwise_batch_loss(model, config):

@@ -20,7 +20,7 @@ from medrex.optim import finite_diff_check
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import serialize_standoff
 from medrex.synth import GenConfig, generate_corpus
-from medrex.train import InferenceBundle, TrainConfig, cost_report, save_bundle, train
+from medrex.train import TrainConfig, cost_report, save_bundle, train
 from medrex.windowing import make_segments, ordered_entity_pairs, segment_corpus
 
 from .conftest import (
@@ -37,13 +37,6 @@ LR = dict(peak_lr=1e-3, null_class_weight=0.3)
 
 def _verdict(criterion: str, detail: str) -> None:
     print(f"\n{criterion}: PASS ({detail})", flush=True)
-
-
-def _bundle(result) -> InferenceBundle:
-    return InferenceBundle(
-        result.model, result.vocab, result.class_map, result.schema,
-        result.train_config.window_chars, result.train_config.stride_chars,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +68,7 @@ def test_a1_gradient_integrity():
 
 def test_a2_overfit_capability(overfit_run):
     docs, config, result, wall = overfit_run
-    report = evaluate(docs, _bundle(result).predict_corpus(docs), "strict", CORP_HUS)
+    report = evaluate(docs, result.predict_corpus(docs), "strict", CORP_HUS)
     assert report.micro.f1 >= 0.95, f"train micro-F1 {report.micro.f1:.4f} < 0.95"
     assert wall < 600.0, f"training took {wall:.0f}s (limit 600s)"
     _verdict("A2 overfit-capability", f"train micro-F1 {report.micro.f1:.3f} in {wall:.0f}s / 60 epochs")
@@ -105,7 +98,7 @@ def test_a3_generalization_smoke():
     docs = generate_corpus(GenConfig(seed=7, doc_count=200, schema_name="corp-hus"))
     train_docs, held_out = corpus_split(docs, 0.8, seed=7)
     result = train(train_docs, CORP_HUS, TrainConfig(epochs=18, window_chars=300, seed=7, **LR))
-    report = evaluate(held_out, _bundle(result).predict_corpus(held_out), "strict", CORP_HUS)
+    report = evaluate(held_out, result.predict_corpus(held_out), "strict", CORP_HUS)
     assert report.micro.f1 >= 0.80, f"held-out micro-F1 {report.micro.f1:.4f} < 0.80"
     _verdict("A3 generalization-smoke", f"held-out micro-F1 {report.micro.f1:.3f} on {len(held_out)} docs")
 
@@ -155,7 +148,7 @@ def test_a6_frame_augmentation_effect():
         for augmented in (False, True):
             config = TrainConfig(epochs=30, seed=seed, frame_augmentation=augmented, **LR)
             result = train(docs, CORP_HUS, config)
-            predictions = _bundle(result).predict_corpus(docs)
+            predictions = result.predict_corpus(docs)
             accuracies[augmented].append(frame_exact_match(docs, predictions, CORP_HUS))
     median_off = statistics.median(accuracies[False])
     median_on = statistics.median(accuracies[True])

@@ -333,7 +333,7 @@ def test_float32_compute_holds_the_dtype_inside_the_block_only():
         x = ag.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         w = ag.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         h = ag.dropout(ag.gelu(ag.matmul(x, w)), 0.5, np.random.default_rng(0), training=True)
-        loss = ag.reduce_mean(ag.scale(ag.cross_entropy(h, [0, 1, 1, 0]), 3.0))
+        loss = ag.reduce_mean(ag.mul(ag.cross_entropy(h, [0, 1, 1, 0]), 3.0))
         ag.backward(loss)
     assert ag.compute_dtype() == np.float64
     assert {t.values.dtype for t in (x, w, h, loss)} == {np.dtype(np.float32)}
@@ -367,7 +367,7 @@ def test_float32_backward_overflow_raises():
     # the forward values stay finite; the gradient reaching `a` is 1e60, past float32's range
     with ag.float32_compute(), np.errstate(over="ignore"):
         x = ag.Tensor([1.0], requires_grad=True)
-        a = ag.scale(x, 1e-30)
+        a = ag.mul(x, 1e-30)
         u = ag.mul(a, ag.Tensor([1e30]))
         loss = total(ag.mul(u, ag.Tensor([1e30])))
         assert np.isfinite(loss.values)
@@ -385,7 +385,7 @@ def test_float32_finite_gradient_whose_sum_overflows_passes_backward():
     # the gradient reaching `a` is [3e38, 3e38]: each entry is finite, their float32 sum is not
     with ag.float32_compute():
         x = ag.Tensor([1.0, 1.0], requires_grad=True)
-        a = ag.scale(x, 1e-30)
+        a = ag.mul(x, 1e-30)
         loss = total(ag.mul(a, ag.Tensor([3e38, 3e38])))
         ag.backward(loss)
     np.testing.assert_allclose(x.grad, [3e8, 3e8], rtol=1e-6)

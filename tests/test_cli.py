@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -381,10 +382,25 @@ def _widen_last(params):
     params[name] = np.zeros(params[name].shape[:-1] + (params[name].shape[-1] + 1,))
 
 
+def _nan_position(params):
+    params["pos_emb"][0, 0] = np.nan
+
+
+def _position_past_float32(params):
+    params["pos_emb"][0, 0] = 1e300  # finite in the float64 payload, inf once cast to float32
+
+
+def _nan_in_a_row_nothing_gathers(params):
+    params["tok_emb"][0, 0] = np.nan  # the unknown-token row: every workspace token is in the vocabulary
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop_first, "missing ['tok_emb']"),
     (_add_unknown, "unknown ['stray.w']"),
     (_widen_last, "'pair.fc2.b': expected shape"),
+    (_nan_position, "'pos_emb': non-finite"),
+    (_position_past_float32, "'pos_emb': non-finite"),
+    (_nan_in_a_row_nothing_gathers, "'tok_emb': non-finite"),
 ])
 def test_predict_rejects_a_checkpoint_with_other_parameters(edit, message, workspace, tmp_path, capsys):
     params, config = load_checkpoint(str(workspace / "ckpt" / "model.ckpt"))
@@ -462,6 +478,11 @@ def _entry_without_shape(header):
     del header["params"][0]["shape"]
 
 
+def _relation_types_as_a_string(header):
+    # 14 letters: with the null class, as many classes as the model's corp-hus head
+    header["config"]["schema"]["relation_types"] = "abcdefghijklmn"
+
+
 @pytest.mark.parametrize("edit, key", [
     (_drop_params, "'params'"),
     (_drop_vocab, "'vocab'"),
@@ -477,6 +498,7 @@ def _entry_without_shape(header):
     (_params_as_mapping, "'params'"),
     (_entry_without_name, "'name'"),
     (_entry_without_shape, "'shape'"),
+    (_relation_types_as_a_string, "'relation_types'"),
 ])
 def test_predict_rejects_a_hand_edited_checkpoint_header(edit, key, workspace, tmp_path, capsys):
     ckpt = tmp_path / "edited.ckpt"
@@ -524,3 +546,82 @@ def test_unusable_paths_exit_with_their_code_naming_the_path(argv, culprit, code
     assert run_cli([token.format(**paths) for token in argv.split()]) == code
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == label and culprit in error["message"]
+
+
+_REPEATED_ID_TEXT = "aspirine 500 mg au coucher"
+_REPEATED_ID_ANN = "T1\tDrug 0 8\taspirine\nT1\tDosage 9 15\t500 mg\nT2\tFrequency 16 26\tau coucher\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "predict --ckpt {ckpt} --data {tagged} --out {out} --label-source provided",
+    "evaluate --gold {gold} --pred {tagged} --out {out}",
+])
+def test_a_repeated_entity_id_exits_3_naming_its_line(argv, workspace, tmp_path, capsys):
+    """A second T1 would rewire every relation written against T1; it is rejected in lax parsing too."""
+    for name, ann in (("tagged", _REPEATED_ID_ANN), ("gold", "T1\tDrug 0 8\taspirine\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "x.txt").write_text(_REPEATED_ID_TEXT, encoding="utf-8")
+        (tmp_path / name / "x.ann").write_text(ann, encoding="utf-8")
+    paths = dict(ckpt=workspace / "ckpt" / "model.ckpt", tagged=tmp_path / "tagged", gold=tmp_path / "gold",
+                 out=tmp_path / "out")
+    assert run_cli([token.format(**paths) for token in argv.split()]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation" and "x.ann:2" in error["message"] and "T1" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def _overflowing_token_rows(ckpt, tmp_path):
+    params, config = load_checkpoint(str(ckpt))
+    params["tok_emb"][:] = 1e30  # finite in float32; the first attention scores are not
+    edited = tmp_path / "huge.ckpt"
+    save_checkpoint(str(edited), params, config)
+    return edited
+
+
+@pytest.mark.parametrize("subcommand", ["train", "predict"])
+def test_a_diverging_run_exits_3_naming_the_op(subcommand, workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run_cli(["generate", "--seed", 7, "--docs", 3, "--out", data]) == 0
+    if subcommand == "train":
+        argv = ["train", "--data", data, "--out", tmp_path / "t", "--epochs", 3, "--lr", "1e30",
+                "--d-model", 16, "--hidden-dim", 16, "--label-emb-dim", 8, "--relpos-emb-dim", 8]
+    else:
+        ckpt = _overflowing_token_rows(workspace / "ckpt" / "model.ckpt", tmp_path)
+        argv = ["predict", "--ckpt", ckpt, "--data", data, "--out", tmp_path / "p"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # stderr carries the JSON object and nothing else
+        assert run_cli(argv) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "non-finite" and re.search(r"op '\w+'", error["message"])
+
+
+def _rename_doc(corpus, old: str, new: str) -> None:
+    for ext in ("txt", "ann"):
+        (corpus / f"{old}.{ext}").rename(corpus / f"{new}.{ext}")
+
+
+def test_end_to_end_writes_what_predict_writes_over_tagger_files(workspace, tmp_path):
+    """Tagger files that differ from gold (a dropped entity, an unknown type), under ids where one is a prefix."""
+    gold = tmp_path / "gold"
+    shutil.copytree(workspace / "data", gold)
+    _rename_doc(gold, "doc0000", "a")
+    _rename_doc(gold, "doc0001", "a-b")  # "a-b.txt" sorts before "a.txt"; doc id "a" sorts before "a-b"
+    tagged = tmp_path / "tagged"
+    shutil.copytree(gold, tagged)
+    for ann in sorted(tagged.glob("*.ann")):
+        entities = [line for line in ann.read_text(encoding="utf-8").splitlines() if line.startswith("T")]
+        kept = [line.replace("\tDosage ", "\tStrength ") for line in entities[1:]]  # n2c2's, unknown here
+        ann.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    ckpt = workspace / "ckpt" / "model.ckpt"
+    predicted, e2e = tmp_path / "predict", tmp_path / "e2e"
+    assert run_cli(["predict", "--ckpt", ckpt, "--data", tagged, "--out", predicted,
+                    "--label-source", "provided"]) == 0
+    assert run_cli(["end-to-end", "--ckpt", ckpt, "--data", tagged, "--gold", gold, "--out", e2e]) == 0
+    written = sorted(f for f in os.listdir(predicted) if f.endswith((".txt", ".ann")))
+    assert len(written) == 12 and (predicted / "relations.jsonl").read_text(encoding="utf-8")
+    for name in written + ["relations.jsonl"]:
+        assert (predicted / name).read_bytes() == (e2e / name).read_bytes(), name
+    assert "\tOTHER " in (e2e / "a.ann").read_text(encoding="utf-8")
+    frame_ids = [json.loads(line)["doc_id"] for line in (e2e / "frames.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert frame_ids[:1] == ["a"] and frame_ids == sorted(frame_ids)

@@ -1,4 +1,4 @@
-"""Every name and defaulted parameter that ``src/medrex`` defines is used by the program or the benchmark.
+"""Every name, defaulted parameter and stored attribute in ``src/medrex`` is used by the program or the benchmark.
 
 A module-level function or class counts as used when its name appears, as a
 whole word, anywhere in ``src/medrex`` or ``perfbench`` outside its own
@@ -6,9 +6,11 @@ definition line. A method (other than a dunder) counts as used when
 ``.name`` appears there. A defaulted parameter counts as used when some call
 there of a function or method of that name passes it, by keyword or by
 position; a call with ``*args`` or ``**kwargs`` may pass every parameter, and
-a call of a class passes ``__init__``'s. Tests do not count: code that only
-tests reach belongs in ``tests/``, and a default no caller changes is a
-constant.
+a call of a class passes ``__init__``'s. An attribute that a method of a
+class stores on ``self`` counts as used when ``.name`` is read somewhere
+there. Tests do not count: code that only tests reach belongs in ``tests/``,
+a default no caller changes is a constant, and a stored value no code reads
+is a copy of nothing.
 """
 
 from __future__ import annotations
@@ -91,12 +93,16 @@ def _defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
     return found
 
 
+def _reference_trees() -> list[ast.Module]:
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in files]
+
+
 def _calls() -> dict[str, list[tuple[float, set[str] | None]]]:
     """Per called name: (positional arguments, keyword names or None for ``**kwargs``) of each call."""
     calls: dict[str, list[tuple[float, set[str] | None]]] = {}
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _reference_trees():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -128,4 +134,34 @@ def test_every_defaulted_parameter_is_passed_by_src_or_perfbench():
     assert not unpassed, (
         "defaulted parameters that no call in src/medrex or perfbench passes "
         "(make them constants):\n" + "\n".join(unpassed)
+    )
+
+
+def unread_attributes() -> list[str]:
+    """Each ``self.<name> = ...`` store in a ``src/medrex`` class whose ``.name`` nothing reads."""
+    read = {
+        node.attr
+        for tree in _reference_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                targets = node.targets if isinstance(node, ast.Assign) else (
+                    [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+                for target in targets:
+                    if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                            and target.value.id == "self" and target.attr not in read):
+                        unread.append(f"{path.name}:{node.lineno} {cls.name}.{target.attr}")
+    return unread
+
+
+def test_every_attribute_stored_on_self_is_read_by_src_or_perfbench():
+    unread = unread_attributes()
+    assert not unread, (
+        "attributes that src/medrex stores on self and no code in src/medrex or perfbench reads:\n"
+        + "\n".join(unread)
     )

@@ -131,8 +131,6 @@ def test_frame_augmentation_adds_class_and_targets(small_corpus):
 def test_bundle_roundtrip_and_prediction_consistency(tmp_path, small_corpus):
     result = train(small_corpus, CORP_HUS, TrainConfig(epochs=2, seed=5, peak_lr=1e-3),
                    model_overrides=TINY)
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS,
-                             result.train_config.window_chars, result.train_config.stride_chars)
     path = str(tmp_path / "model.ckpt")
     save_bundle(path, result)
     loaded = load_bundle(path)
@@ -140,20 +138,19 @@ def test_bundle_roundtrip_and_prediction_consistency(tmp_path, small_corpus):
     assert loaded.vocab.tokens == result.vocab.tokens
     assert loaded.window_chars == result.train_config.window_chars
     for doc in small_corpus[:3]:
-        assert loaded.predict(doc) == bundle.predict(doc)
+        assert loaded.predict(doc) == result.predict(doc)
 
 
 def test_bundle_predictions_match_the_module_function_form_on_the_seed_7_corpus():
     corpus = generate_corpus(GenConfig(seed=7))
     # the reference training run: the default model predicts relations after four epochs
     result = train(corpus, CORP_HUS, TrainConfig(epochs=4, seed=7, peak_lr=3e-3, null_class_weight=0.3))
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
     rng = random.Random(7)
     scored = 0
     for doc in corpus:
         provided = [e for e in doc.entities if rng.random() >= 0.2]
         for entities in (None, provided):
-            got = bundle.predict(doc, entities)
+            got = result.predict(doc, entities)
             want = predict_relations(result.model, doc, CORP_HUS, result.vocab, result.class_map, 300, 150, entities)
             assert [(p.rtype, p.source.id, p.target.id, p.prob) for p in got] == [
                 (p.rtype, p.source.id, p.target.id, p.prob) for p in want]
@@ -208,11 +205,9 @@ def test_cost_report_two_entity_segments_ratio_two():
 def test_end_to_end_gold_entities_match_plain_evaluation(small_corpus):
     result = train(small_corpus, CORP_HUS, TrainConfig(epochs=3, seed=2, peak_lr=1e-3),
                    model_overrides=TINY)
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
-    entities_map = {d.doc_id: list(d.entities) for d in small_corpus}
-    provided = bundle.predict_corpus(small_corpus, entities_map)
+    provided = {d.doc_id: result.predict(d, list(d.entities)) for d in small_corpus}
     reports = {mode: evaluate(small_corpus, provided, mode, CORP_HUS) for mode in ("strict", "lenient")}
-    direct = evaluate(small_corpus, bundle.predict_corpus(small_corpus), "strict", CORP_HUS)
+    direct = evaluate(small_corpus, result.predict_corpus(small_corpus), "strict", CORP_HUS)
     assert reports["strict"].to_dict() == direct.to_dict()
     assert set(provided) == {d.doc_id for d in small_corpus}
     assert reports["lenient"].micro.f1 >= reports["strict"].micro.f1
@@ -226,24 +221,21 @@ def test_entity_deletion_never_improves_recall(small_corpus):
     result = train(small_corpus, CORP_HUS, TrainConfig(epochs=60, seed=4, peak_lr=2e-3,
                                                        null_class_weight=0.3),
                    model_overrides=medium)
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
-    full = evaluate(small_corpus, bundle.predict_corpus(small_corpus), "strict", CORP_HUS)
+    full = evaluate(small_corpus, result.predict_corpus(small_corpus), "strict", CORP_HUS)
     assert full.micro.recall > 0.3  # needs a model that actually predicts something
     for seed in (0, 1, 2):
         rng = random.Random(seed)
-        entities_map = {
-            d.doc_id: [e for e in d.entities if rng.random() >= 0.1]
+        predictions = {
+            d.doc_id: result.predict(d, [e for e in d.entities if rng.random() >= 0.1])
             for d in small_corpus
         }
-        report = evaluate(small_corpus, bundle.predict_corpus(small_corpus, entities_map), "strict", CORP_HUS)
+        report = evaluate(small_corpus, predictions, "strict", CORP_HUS)
         assert report.micro.recall <= full.micro.recall + 1e-12
 
 
 def test_end_to_end_empty_entities_yield_no_predictions(small_corpus):
     result = train(small_corpus, CORP_HUS, TrainConfig(epochs=1, seed=2), model_overrides=TINY)
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
-    entities_map = {d.doc_id: [] for d in small_corpus}
-    predictions = bundle.predict_corpus(small_corpus, entities_map)
+    predictions = {d.doc_id: result.predict(d, []) for d in small_corpus}
     assert all(not preds for preds in predictions.values())
     report = evaluate(small_corpus, predictions, "strict", CORP_HUS)
     assert report.micro.f1 == 0.0
@@ -291,7 +283,6 @@ def test_predict_relations_logits_are_float32(monkeypatch, small_corpus):
     from medrex.model import PairwiseREModel
 
     result = train(small_corpus, CORP_HUS, TrainConfig(epochs=1, seed=0), model_overrides=TINY)
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, CORP_HUS, 300, 150)
     logits = []
     original = PairwiseREModel.forward
 
@@ -301,7 +292,7 @@ def test_predict_relations_logits_are_float32(monkeypatch, small_corpus):
 
     monkeypatch.setattr(PairwiseREModel, "forward", recording_forward)
     nodes = _record_node_dtypes(monkeypatch)
-    bundle.predict_corpus(small_corpus[:2])
+    result.predict_corpus(small_corpus[:2])
     assert logits and {t.values.dtype for t in logits} == {np.dtype(np.float32)}
     assert {dtype for _, dtype in nodes} == {"float32"}
 
@@ -442,8 +433,7 @@ def test_n2c2_profile_trains_and_predicts_held_out_documents():
     train_docs, held_out = docs[:10], docs[10:]
     result = train(train_docs, schema, TrainConfig(epochs=2, seed=0, peak_lr=1e-3), model_overrides=TINY)
     assert result.window_report.segments_emitted > 0
-    bundle = InferenceBundle(result.model, result.vocab, result.class_map, schema, 300, 150)
-    predictions = bundle.predict_corpus(held_out)
+    predictions = result.predict_corpus(held_out)
     assert set(predictions) == {doc.doc_id for doc in held_out}
     assert any(predictions.values())
     for doc in held_out:
@@ -539,8 +529,8 @@ def test_prediction_skips_a_whitespace_entity_and_one_of_two_that_share_a_token(
 def _untrained_checkpoint() -> bytes:
     """``_untrained_bundle`` saved as a checkpoint."""
     bundle = _untrained_bundle()
-    result = TrainResult(bundle.model, bundle.vocab, bundle.class_map, CORP_HUS,
-                         TrainConfig(window_chars=40), WindowReport())
+    result = TrainResult(bundle.model, bundle.vocab, bundle.class_map, CORP_HUS, 40, 20,
+                         TrainConfig(window_chars=40), WindowReport(), [], [])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
         save_bundle(path, result)
