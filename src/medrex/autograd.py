@@ -78,13 +78,12 @@ def compute_dtype() -> np.dtype:
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backprop", "_consumed", "__weakref__")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop", "_consumed", "__weakref__")
 
-    def __init__(self, values, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=_dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backprop = None
         self._consumed = False
@@ -92,10 +91,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"<Tensor{tag} shape={self.values.shape}>"
 
 
 def as_tensor(x) -> Tensor:

@@ -29,7 +29,7 @@ from .frames import augment_document, build_frames, decode_frames, frames_to_jso
 from .model import ModelConfig, ModelError, PredictedRelation, grad_check_fixture, masked_loss
 from .optim import finite_diff_check
 from .schema import SchemaError, UnknownProfileError, read_key_value_file, resolve_profile
-from .standoff import Document, StandoffError, entity_json, read_corpus_dir, read_document, write_corpus_dir
+from .standoff import Document, StandoffError, entity_json, read_corpus_dir, write_corpus_dir
 from .stats import corpus_stats
 from .synth import GenConfig, GenerationError, generate_corpus
 from .train import (
@@ -155,22 +155,20 @@ def _corpus_files(out_dir: str, docs: list[Document]) -> list[str]:
     return [os.path.join(out_dir, f"{d.doc_id}.{ext}") for d in docs for ext in ("txt", "ann")]
 
 
-def _load_entity_documents(path: str, schema) -> dict[str, Document | None]:
-    """Lax-parsed documents keyed by id (None where the .ann file is missing; callers report it)."""
-    docs = {}
-    for name in sorted(f for f in os.listdir(path) if f.endswith(".txt")):
-        txt_path = os.path.join(path, name)
-        has_ann = os.path.exists(txt_path[:-4] + ".ann")
-        docs[name[:-4]] = read_document(txt_path, schema, strict=False) if has_ann else None
-    return docs
+def _gold_counterparts(path: str, gold_docs: list[Document], schema, flag: str) -> list[Document]:
+    """Each gold document's lax-parsed counterpart in ``path``, in gold order.
 
-
-def _require_gold_text(gold_docs: list[Document], docs: dict[str, Document | None], flag: str) -> None:
-    """Offsets index one text: a document whose text differs from its gold text raises StandoffError."""
+    A gold document without one raises FileNotFoundError; one whose text
+    differs from the gold text raises StandoffError, since offsets index one text.
+    """
+    docs = {doc.doc_id: doc for doc in read_corpus_dir(path, schema, strict=False)}
+    missing = [gold.doc_id for gold in gold_docs if gold.doc_id not in docs]
+    if missing:
+        raise FileNotFoundError(f"{flag} {path} has no files for documents: {', '.join(missing)}")
     for gold in gold_docs:
-        doc = docs.get(gold.doc_id)
-        if doc is not None and doc.text != gold.text:
+        if docs[gold.doc_id].text != gold.text:
             raise StandoffError(f"document {gold.doc_id}: its {flag} text differs from its --gold text")
+    return [docs[gold.doc_id] for gold in gold_docs]
 
 
 def _relation_row(doc_id: str, p: PredictedRelation) -> str:
@@ -335,14 +333,10 @@ def _cmd_evaluate(options: Options) -> int:
     mode = options.get("mode")
     schema = resolve_profile(options.get("schema"))
     gold_docs = read_corpus_dir(gold_dir, schema, strict=True)
-    pred_docs = _load_entity_documents(pred_dir, schema)
-    _require_gold_text(gold_docs, pred_docs, "--pred")
     predictions: dict[str, list[PredictedRelation]] = {}
-    for doc_id, pred_doc in sorted(pred_docs.items()):
-        if pred_doc is None:
-            continue
+    for pred_doc in _gold_counterparts(pred_dir, gold_docs, schema, "--pred"):
         by_id = pred_doc.entity_index()
-        predictions[doc_id] = [
+        predictions[pred_doc.doc_id] = [
             PredictedRelation(r.rtype, by_id[r.source], by_id[r.target], 1.0)
             for r in pred_doc.relations
         ]
@@ -360,16 +354,11 @@ def _cmd_end_to_end(options: Options) -> int:
     ckpt = options.path("ckpt", required=True)
     bundle = load_bundle(ckpt)
     gold_docs = read_corpus_dir(gold_dir, bundle.schema, strict=True)
-    entity_docs = _load_entity_documents(data, bundle.schema)
-    missing = sorted(d.doc_id for d in gold_docs if entity_docs.get(d.doc_id) is None)
-    if missing:
-        raise FileNotFoundError(f"missing entity files for documents: {', '.join(missing)}")
-    _require_gold_text(gold_docs, entity_docs, "--data")
-    docs = [entity_docs[gold.doc_id] for gold in gold_docs]
+    docs = _gold_counterparts(data, gold_docs, bundle.schema, "--data")
     predictions = bundle.predict_corpus(docs)
     outputs = _write_prediction_dir(out, docs, predictions)
     frame_lines = []
-    for doc in sorted(docs, key=lambda d: d.doc_id):  # doc-id order, not read_corpus_dir's file-name order
+    for doc in docs:
         relations = predictions_to_relations(predictions[doc.doc_id])
         frame_lines.extend(frames_to_jsonl(doc, decode_frames(doc.entities, relations, bundle.schema, doc.doc_id)))
     frames_path = os.path.join(out, "frames.jsonl")

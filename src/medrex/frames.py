@@ -100,14 +100,13 @@ def decode_frames(
 ) -> FrameSet:
     """Group each drug's attributes into frames from the given (gold or predicted) relations.
 
-    Output ordering is deterministic: frames sorted by drug start offset, then
-    by the earliest attribute offset within the frame.
+    Output ordering is deterministic and independent of the input order:
+    drugs in (start, end, id) order, and each drug's frames in the order of
+    their attribute sequences, each sequence in (start, end, id) order.
     """
     by_id = {e.id: e for e in entities}
-    attr_order = {
-        e.id: i
-        for i, e in enumerate(sorted(entities, key=lambda e: (e.start, e.end, e.id)))
-    }
+    ordered = sorted(entities, key=lambda e: (e.start, e.end, e.id))
+    attr_order = {e.id: i for i, e in enumerate(ordered)}
 
     links: dict[str, dict[str, str]] = defaultdict(dict)  # drug id -> attr id -> rtype
     for r in relations:
@@ -125,20 +124,11 @@ def decode_frames(
         if r.rtype == SAME_FRAME and r.source != r.target
     }
 
-    frames: list[Frame] = []
-    drugs = sorted(
-        (e for e in entities if e.etype in schema.drug_types),
-        key=lambda e: (e.start, e.end, e.id),
-    )
-    for drug in drugs:
-        frames.extend(_frames_for_drug(drug, links[drug.id], attr_order, same_frame_pairs))
-
-    def sort_key(f: Frame):
-        drug = by_id[f.drug]
-        first_attr = min((attr_order[a] for a, _ in f.links), default=-1)
-        return (drug.start, drug.end, drug.id, first_attr, tuple(attr_order[a] for a, _ in f.links))
-
-    return FrameSet(doc_id, tuple(sorted(frames, key=sort_key)))
+    return FrameSet(doc_id, tuple(
+        frame
+        for drug in ordered if drug.etype in schema.drug_types
+        for frame in _frames_for_drug(drug, links[drug.id], attr_order, same_frame_pairs)
+    ))
 
 
 def build_frames(doc: Document, schema: SchemaProfile) -> FrameSet:

@@ -359,9 +359,14 @@ class InferenceBundle:
     stride_chars: int
 
     def __post_init__(self):
-        if len(self.class_map) != self.model.config.num_classes:
-            raise ModelError(f"class map has {len(self.class_map)} classes but the model was built for "
-                             f"{self.model.config.num_classes}")
+        config = self.model.config
+        for what, count, built in (
+            ("class map has {} classes", len(self.class_map), config.num_classes),
+            ("vocabulary has {} tokens", len(self.vocab), config.vocab_size),
+            ("schema has {} entity types", len(self.schema.entity_types), config.num_entity_types),
+        ):
+            if count != built:
+                raise ModelError(f"{what.format(count)} but the model was built for {built}")
 
     @ag.float32_compute()
     def predict(self, doc: Document, entities: list[Entity] | None = None) -> list[PredictedRelation]:
@@ -416,9 +421,6 @@ def grad_check_fixture(d_model: int, seq: int, n_entities: int, seed: int) -> tu
         num_entity_types=10,
         num_classes=8,
         d_model=d_model,
-        encoder_heads=4 if d_model % 4 == 0 else 2,
-        label_emb_dim=32,
-        fusion_heads=4,
         max_positions=seq + 8,
         dropout=0.0,
         seed=seed,

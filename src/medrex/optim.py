@@ -25,7 +25,7 @@ class ParamStore:
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self.params:
             raise ValueError(f"parameter {name!r} already registered")
-        t = Tensor(np.array(values, dtype=compute_dtype()), requires_grad=True, name=name)
+        t = Tensor(np.array(values, dtype=compute_dtype()), requires_grad=True)
         self.params[name] = t
         self._m[name] = np.zeros_like(t.values)
         self._v[name] = np.zeros_like(t.values)
@@ -77,31 +77,18 @@ def adam_step(store: ParamStore, lr: float) -> None:
     store.step_count = t
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Linear ramp 0 -> peak over the warmup, then linear decay peak -> 0."""
-
-    peak_lr: float = 1e-4
-    warmup_steps: int = 0
-    total_steps: int = 1
-
-    def __post_init__(self):
-        if self.peak_lr < 0:
-            raise ValueError("peak_lr must be non-negative")
-        if not 0 <= self.warmup_steps <= self.total_steps:
-            raise ValueError(f"need 0 <= warmup_steps <= total_steps, got {self.warmup_steps}/{self.total_steps}")
-
-
-def lr_at(schedule: LrSchedule, step: int) -> float:
-    if not 0 <= step <= schedule.total_steps:
-        raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
-    if schedule.total_steps == 0:
+def lr_at(step: int, peak_lr: float, warmup_steps: int, total_steps: int) -> float:
+    """Linear ramp 0 -> peak over the warmup steps, then linear decay peak -> 0 at the last step."""
+    if not 0 <= step <= total_steps or not 0 <= warmup_steps <= total_steps:
+        raise ValueError(f"need 0 <= step <= total_steps and 0 <= warmup_steps <= total_steps, "
+                         f"got {step}, {warmup_steps}, {total_steps}")
+    if total_steps == 0:
         return 0.0
-    if step < schedule.warmup_steps:
-        return schedule.peak_lr * step / schedule.warmup_steps
-    if schedule.total_steps == schedule.warmup_steps:
-        return schedule.peak_lr
-    return schedule.peak_lr * (schedule.total_steps - step) / (schedule.total_steps - schedule.warmup_steps)
+    if step < warmup_steps:
+        return peak_lr * step / warmup_steps
+    if total_steps == warmup_steps:
+        return peak_lr
+    return peak_lr * (total_steps - step) / (total_steps - warmup_steps)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """BRAT-style standoff annotation: parsing, validation, serialization, corpus IO.
 
 Only T-lines (single-span entities) and R-lines (binary relations) are
-supported. Offsets count Unicode code points of the document text, matching
-what annotation tools display for multi-byte scripts. Entity surfaces that
-contain newlines are written with spaces in the ``.ann`` file, per the usual
-standoff convention; the in-memory surface is always the exact text slice.
+supported. Offsets count Unicode code points of the document text as the
+file holds it (a CRLF line ending is two), matching what annotation tools
+display for multi-byte scripts. A surface is the rest of its ``.ann`` line,
+tabs included; a line break in it (LF or CR) is written as a space, per the
+usual standoff convention. The in-memory surface is always the exact text slice.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class StandoffError(ValueError):
 
 
 def _escape_surface(slice_text: str) -> str:
-    return slice_text.replace("\n", " ")
+    return slice_text.replace("\r", " ").replace("\n", " ")
 
 
 def parse_standoff(
@@ -89,7 +90,7 @@ def parse_standoff(
         if not line.strip():
             continue
         where = f"{doc_id}.ann:{lineno}"
-        fields = line.split("\t")
+        fields = line.split("\t", 2)  # the surface is the rest of the line, tabs included
         marker = fields[0]
         if marker.startswith("T"):
             if len(fields) < 3:
@@ -233,33 +234,33 @@ def validate_document(doc: Document, schema: SchemaProfile) -> list[Violation]:
 
 def _read_utf8(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise StandoffError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def read_document(txt_path: str, schema: SchemaProfile, strict: bool = True) -> Document:
-    ann_path = os.path.splitext(txt_path)[0] + ".ann"
-    doc_id = os.path.splitext(os.path.basename(txt_path))[0]
-    text = _read_utf8(txt_path)
-    if not os.path.exists(ann_path):
-        raise FileNotFoundError(f"missing annotation file for {doc_id}: {ann_path}")
-    return parse_standoff(text, _read_utf8(ann_path), schema, doc_id=doc_id, strict=strict)
-
-
 def read_corpus_dir(path: str, schema: SchemaProfile, strict: bool = True) -> list[Document]:
+    """Each ``.txt`` file's document in file-name order; a ``.txt`` without its ``.ann`` raises FileNotFoundError."""
     txt_files = sorted(f for f in os.listdir(path) if f.endswith(".txt"))
     if not txt_files:
         raise FileNotFoundError(f"no .txt files found in {path}")
-    return [read_document(os.path.join(path, f), schema, strict=strict) for f in txt_files]
+    docs = []
+    for name in txt_files:
+        doc_id = name[:-4]
+        text = _read_utf8(os.path.join(path, name))
+        ann_path = os.path.join(path, doc_id + ".ann")
+        if not os.path.exists(ann_path):
+            raise FileNotFoundError(f"missing annotation file for {doc_id}: {ann_path}")
+        docs.append(parse_standoff(text, _read_utf8(ann_path), schema, doc_id=doc_id, strict=strict))
+    return docs
 
 
 def write_corpus_dir(docs: list[Document], path: str) -> None:
     os.makedirs(path, exist_ok=True)
     for doc in docs:
         text, ann = serialize_standoff(doc)
-        with open(os.path.join(path, f"{doc.doc_id}.txt"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(path, f"{doc.doc_id}.txt"), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        with open(os.path.join(path, f"{doc.doc_id}.ann"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(path, f"{doc.doc_id}.ann"), "w", encoding="utf-8", newline="") as fh:
             fh.write(ann)

@@ -29,7 +29,7 @@ from .model import (
     PairwiseREModel,
     masked_loss,
 )
-from .optim import LrSchedule, adam_step, lr_at
+from .optim import adam_step, lr_at
 from .schema import SchemaProfile
 from .standoff import Document, validate_document
 from .windowing import (
@@ -152,11 +152,7 @@ def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_terms)
     """
     steps_per_epoch = math.ceil(len(encoded) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    schedule = LrSchedule(
-        peak_lr=config.peak_lr,
-        warmup_steps=int(round(config.warmup_fraction * total_steps)),
-        total_steps=total_steps,
-    )
+    warmup_steps = int(round(config.warmup_fraction * total_steps))
     shuffler = random.Random(config.seed)
     run_log: list[dict] = []
     epoch_seconds: list[float] = []
@@ -173,7 +169,7 @@ def _fit(model, encoded: list[EncodedSegment], config: TrainConfig, batch_terms)
                 total = term.values if total is None else total + term.values
             # the same float32 chain as summing the terms' graph, then scaling it
             loss = total * ag.compute_dtype().type(1.0 / n_terms)
-            lr = lr_at(schedule, step)
+            lr = lr_at(step, config.peak_lr, warmup_steps, total_steps)
             adam_step(model.params, lr)
             run_log.append({
                 "step": step,

@@ -9,7 +9,7 @@ import pytest
 from medrex import autograd as ag
 from medrex.frames import Frame, FrameSet
 from medrex.model import ModelError, PredictedRelation, masked_loss
-from medrex.optim import LrSchedule, adam_step, lr_at
+from medrex.optim import adam_step, lr_at
 from medrex.schema import CORP_HUS, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
 from medrex.windowing import WindowingError, encode_segment, make_segments, ordered_entity_pairs
@@ -394,11 +394,7 @@ def whole_batch_fit(model, encoded, config, batch_loss) -> list[dict]:
     as its forward ends. Same shuffles, schedule and Adam steps; returns the run log.
     """
     total_steps = config.epochs * math.ceil(len(encoded) / config.batch_size)
-    schedule = LrSchedule(
-        peak_lr=config.peak_lr,
-        warmup_steps=int(round(config.warmup_fraction * total_steps)),
-        total_steps=total_steps,
-    )
+    warmup_steps = int(round(config.warmup_fraction * total_steps))
     shuffler = random.Random(config.seed)
     run_log = []
     for _ in range(config.epochs):
@@ -407,7 +403,7 @@ def whole_batch_fit(model, encoded, config, batch_loss) -> list[dict]:
         for batch_start in range(0, len(order), config.batch_size):
             loss = batch_loss([encoded[i] for i in order[batch_start:batch_start + config.batch_size]])
             ag.backward(loss)
-            lr = lr_at(schedule, len(run_log))
+            lr = lr_at(len(run_log), config.peak_lr, warmup_steps, total_steps)
             adam_step(model.params, lr)
             run_log.append({"step": len(run_log), "lr": lr, "loss": float(loss.values), "forwards": model.encoder_forwards})
     return run_log

@@ -263,6 +263,54 @@ def test_end_to_end_missing_entity_file_exits_4_naming_the_doc(workspace, tmp_pa
     assert missing[:-4] in error["message"]
 
 
+@pytest.mark.parametrize("removed", [(".ann",), (".txt", ".ann")])
+def test_evaluate_with_a_missing_prediction_exits_4_naming_the_doc(removed, workspace, tmp_path, capsys):
+    """A prediction directory without one document's .ann, or without the document, is not scored as empty."""
+    preds = tmp_path / "preds"
+    shutil.copytree(workspace / "data", preds)
+    doc_id = sorted(f[:-4] for f in os.listdir(preds) if f.endswith(".txt"))[1]
+    for ext in removed:
+        (preds / f"{doc_id}{ext}").unlink()
+    assert run_cli(["evaluate", "--gold", workspace / "data", "--pred", preds, "--out", tmp_path / "eval"]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "missing-path" and doc_id in error["message"]
+    assert not (tmp_path / "eval").exists()
+
+
+def _crlf_copy(src, dst):
+    """A copy of a corpus with CRLF line endings, its offsets counted over the file's characters."""
+    dst.mkdir()
+    for txt in sorted(src.glob("*.txt")):
+        text = txt.read_bytes().decode("utf-8")
+        crlf = text.replace("\n", "\r\n")
+        (dst / txt.name).write_bytes(crlf.encode("utf-8"))
+        lines = []
+        for line in txt.with_suffix(".ann").read_bytes().decode("utf-8").splitlines():
+            if line.startswith("T"):
+                ident, span, _ = line.split("\t")
+                etype, start, end = span.split(" ")
+                start, end = (int(n) + text.count("\n", 0, int(n)) for n in (start, end))
+                surface = crlf[start:end].replace("\r", " ").replace("\n", " ")
+                line = f"{ident}\t{etype} {start} {end}\t{surface}"
+            lines.append(line)
+        (dst / txt.with_suffix(".ann").name).write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+
+def test_a_crlf_corpus_is_read_as_written(workspace, tmp_path, capsys):
+    crlf = tmp_path / "crlf"
+    _crlf_copy(workspace / "data", crlf)
+    capsys.readouterr()
+    assert run_cli(["stats", "--data", workspace / "data"]) == 0
+    lf_stats = capsys.readouterr().out
+    assert run_cli(["stats", "--data", crlf]) == 0
+    assert capsys.readouterr().out == lf_stats
+    preds = tmp_path / "preds"
+    assert run_cli(["predict", "--ckpt", workspace / "ckpt" / "model.ckpt", "--data", crlf, "--out", preds]) == 0
+    for txt in sorted(crlf.glob("*.txt")):
+        assert b"\r\n" in txt.read_bytes() and (preds / txt.name).read_bytes() == txt.read_bytes(), txt.name
+    assert run_cli(["evaluate", "--gold", crlf, "--pred", preds]) == 0
+
+
 def _copy_with_prefixed_text(src, dst, prefix: str = "Note "):
     """A copy of a corpus whose second document's text gains a prefix, its .ann offsets shifted to match.
 
@@ -478,6 +526,15 @@ def _entry_without_shape(header):
     del header["params"][0]["shape"]
 
 
+def _tokens_after_the_reserved_ones(header):
+    vocab = header["config"]["vocab"]
+    vocab[5:5] = [f"extra{i}" for i in range(40)]
+
+
+def _an_extra_entity_type(header):
+    header["config"]["schema"]["entity_types"].append("Aaa")  # sorts first: every label id would shift
+
+
 def _relation_types_as_a_string(header):
     # 14 letters: with the null class, as many classes as the model's corp-hus head
     header["config"]["schema"]["relation_types"] = "abcdefghijklmn"
@@ -499,6 +556,8 @@ def _relation_types_as_a_string(header):
     (_entry_without_name, "'name'"),
     (_entry_without_shape, "'shape'"),
     (_relation_types_as_a_string, "'relation_types'"),
+    (_tokens_after_the_reserved_ones, "vocabulary has"),
+    (_an_extra_entity_type, "entity types"),
 ])
 def test_predict_rejects_a_hand_edited_checkpoint_header(edit, key, workspace, tmp_path, capsys):
     ckpt = tmp_path / "edited.ckpt"
@@ -606,7 +665,7 @@ def test_end_to_end_writes_what_predict_writes_over_tagger_files(workspace, tmp_
     gold = tmp_path / "gold"
     shutil.copytree(workspace / "data", gold)
     _rename_doc(gold, "doc0000", "a")
-    _rename_doc(gold, "doc0001", "a-b")  # "a-b.txt" sorts before "a.txt"; doc id "a" sorts before "a-b"
+    _rename_doc(gold, "doc0001", "a-b")  # "a-b.txt" sorts before "a.txt", though doc id "a" sorts before "a-b"
     tagged = tmp_path / "tagged"
     shutil.copytree(gold, tagged)
     for ann in sorted(tagged.glob("*.ann")):
@@ -623,5 +682,7 @@ def test_end_to_end_writes_what_predict_writes_over_tagger_files(workspace, tmp_
     for name in written + ["relations.jsonl"]:
         assert (predicted / name).read_bytes() == (e2e / name).read_bytes(), name
     assert "\tOTHER " in (e2e / "a.ann").read_text(encoding="utf-8")
-    frame_ids = [json.loads(line)["doc_id"] for line in (e2e / "frames.jsonl").read_text(encoding="utf-8").splitlines()]
-    assert frame_ids[:1] == ["a"] and frame_ids == sorted(frame_ids)
+    read_order = [name[:-4] for name in written if name.endswith(".txt")]  # file-name order: a-b, a, doc0002, ...
+    for name in ("relations.jsonl", "frames.jsonl"):
+        doc_ids = [json.loads(line)["doc_id"] for line in (e2e / name).read_text(encoding="utf-8").splitlines()]
+        assert doc_ids[:1] == ["a-b"] and doc_ids == sorted(doc_ids, key=read_order.index), name

@@ -199,11 +199,29 @@ def test_total_links_match_typed_relations(corp_hus):
     assert len(typed) == 6
 
 
+def _in_stated_order(fs: FrameSet, entities) -> bool:
+    """Drugs in (start, end, id) order; a drug's frames by their attribute sequences in that order."""
+    rank = {e.id: i for i, e in enumerate(sorted(entities, key=lambda e: (e.start, e.end, e.id)))}
+    keys = [(rank[f.drug], [rank[a] for a, _ in f.links]) for f in fs.frames]
+    return all(attrs == sorted(attrs) for _, attrs in keys) and keys == sorted(keys)
+
+
 def test_decode_deterministic_ordering(corp_hus):
     doc = tocilizumab_document()
     fs1 = decode_frames(list(doc.entities), list(doc.relations), corp_hus)
     fs2 = decode_frames(list(reversed(doc.entities)), list(reversed(doc.relations)), corp_hus)
     assert fs1 == fs2
+    assert _in_stated_order(fs1, doc.entities)
+    rng = random.Random(1234)
+    for _ in range(200):
+        entities, fs = random_frame_instance(rng)
+        gold = frames_to_relations(fs, include_same_frame=True)
+        # the gold encoding, and a random subset whose SAME_FRAME graphs are no longer complete
+        for rels in (gold, rng.sample(gold, rng.randint(0, len(gold)))):
+            decoded = decode_frames(entities, rels, corp_hus)
+            assert _in_stated_order(decoded, entities)
+            shuffled_entities, shuffled_rels = rng.sample(entities, len(entities)), rng.sample(rels, len(rels))
+            assert decode_frames(shuffled_entities, shuffled_rels, corp_hus) == decoded
 
 
 def test_augment_document_adds_complete_graphs(corp_hus):

@@ -10,7 +10,8 @@ a call of a class passes ``__init__``'s. An attribute that a method of a
 class stores on ``self`` counts as used when ``.name`` is read somewhere
 there. Tests do not count: code that only tests reach belongs in ``tests/``,
 a default no caller changes is a constant, and a stored value no code reads
-is a copy of nothing.
+is a copy of nothing. Nor does a call in ``src/medrex`` restate a
+dataclass's literal default: the dataclass owns that value.
 """
 
 from __future__ import annotations
@@ -164,4 +165,58 @@ def test_every_attribute_stored_on_self_is_read_by_src_or_perfbench():
     assert not unread, (
         "attributes that src/medrex stores on self and no code in src/medrex or perfbench reads:\n"
         + "\n".join(unread)
+    )
+
+
+NOT_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    """The value of a literal expression, or NOT_LITERAL."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return NOT_LITERAL
+
+
+def _dataclass_defaults() -> dict[str, dict[str, object]]:
+    """Per ``src/medrex`` dataclass name: each field's literal default."""
+    defaults = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            defaults[cls.name] = {
+                item.target.id: _literal(item.value)
+                for item in cls.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.value is not None
+            }
+    return defaults
+
+
+def restated_defaults() -> list[str]:
+    """Each keyword argument of a ``src/medrex`` call that passes its dataclass field's literal default."""
+    defaults = _dataclass_defaults()
+    restated = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            for keyword in node.keywords:
+                default = defaults.get(name, {}).get(keyword.arg, NOT_LITERAL)
+                value = _literal(keyword.value)
+                if default is not NOT_LITERAL and type(value) is type(default) and value == default:
+                    restated.append(f"{path.name}:{node.lineno} {name}({keyword.arg}={value!r})")
+    return restated
+
+
+def test_no_call_in_src_restates_a_dataclass_default():
+    restated = restated_defaults()
+    assert not restated, (
+        "keyword arguments in src/medrex that pass the called dataclass's own default (drop them):\n"
+        + "\n".join(restated)
     )

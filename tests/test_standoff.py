@@ -105,6 +105,25 @@ def test_entity_over_newline_escaped_in_ann(corp_hus):
     assert again.entities[0].surface == "b\nc"
 
 
+def test_entity_over_a_tab_roundtrips(corp_hus):
+    """In standoff the surface is the rest of the line, so a tab inside it stays a tab."""
+    text = "a b\tc d"
+    entity = Entity("T1", "Drug", 2, 5, "b\tc")
+    _, ann = serialize_standoff(Document("d", text, (entity,), ()))
+    assert ann == "T1\tDrug 2 5\tb\tc\n"
+    assert parse_standoff(text, ann, corp_hus).entities == (entity,)
+
+
+def test_crlf_text_roundtrips_through_a_corpus_dir_with_offsets_over_its_characters(tmp_path, corp_hus):
+    text = "a b\r\nc d\r\n"
+    entities = (Entity("T1", "Drug", 2, 6, "b\r\nc"), Entity("T2", "Route", 7, 8, "d"))
+    write_corpus_dir([Document("d", text, entities, ())], str(tmp_path))
+    assert (tmp_path / "d.txt").read_bytes() == text.encode("utf-8")
+    assert (tmp_path / "d.ann").read_bytes() == b"T1\tDrug 2 6\tb  c\nT2\tRoute 7 8\td\n"
+    (doc,) = read_corpus_dir(str(tmp_path), corp_hus)
+    assert doc.text == text and doc.entities == entities
+
+
 def test_serialize_empty_document(corp_hus):
     text, ann = serialize_standoff(Document("d", "plain text", (), ()))
     assert text == "plain text"
