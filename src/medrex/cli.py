@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError
 from .evaluate import EvalReport, evaluate, format_report, predictions_to_relations
-from .frames import augment_document, build_frames, decode_frames, frames_to_jsonl
+from .frames import augment_document, build_frames, frames_to_jsonl
 from .model import ModelConfig, ModelError, PredictedRelation, grad_check_fixture, masked_loss
 from .optim import finite_diff_check
 from .schema import SchemaError, UnknownProfileError, read_key_value_file, resolve_profile
@@ -182,8 +182,8 @@ def _relation_row(doc_id: str, p: PredictedRelation) -> str:
 
 
 def _write_prediction_dir(out_dir: str, docs: list[Document],
-                          predictions: dict[str, list[PredictedRelation]]) -> list[str]:
-    """Predicted relations as standoff over each document's own entities, plus relations.jsonl rows."""
+                          predictions: dict[str, list[PredictedRelation]]) -> tuple[list[Document], list[str]]:
+    """Write predictions as standoff plus relations.jsonl rows; return the prediction documents and the paths."""
     pred_docs = [
         Document(doc.doc_id, doc.text, doc.entities, tuple(predictions_to_relations(predictions[doc.doc_id])))
         for doc in docs
@@ -191,7 +191,7 @@ def _write_prediction_dir(out_dir: str, docs: list[Document],
     write_corpus_dir(pred_docs, out_dir)
     relations_path = os.path.join(out_dir, "relations.jsonl")
     _write_lines(relations_path, [_relation_row(doc.doc_id, p) for doc in docs for p in predictions[doc.doc_id]])
-    return _corpus_files(out_dir, pred_docs) + [relations_path]
+    return pred_docs, _corpus_files(out_dir, pred_docs) + [relations_path]
 
 
 def _emit_reports(out_dir: str | None, reports: dict[str, EvalReport]) -> list[str]:
@@ -320,7 +320,7 @@ def _cmd_predict(options: Options) -> int:
     bundle = load_bundle(ckpt)
     docs = read_corpus_dir(data, bundle.schema, strict=strict)
     predictions = bundle.predict_corpus(docs)
-    outputs = _write_prediction_dir(out, docs, predictions)
+    _, outputs = _write_prediction_dir(out, docs, predictions)
     _write_manifest(out, options, [data, ckpt], outputs)
     print(f"predicted relations for {len(docs)} documents into {out}")
     return EXIT_OK
@@ -356,11 +356,8 @@ def _cmd_end_to_end(options: Options) -> int:
     gold_docs = read_corpus_dir(gold_dir, bundle.schema, strict=True)
     docs = _gold_counterparts(data, gold_docs, bundle.schema, "--data")
     predictions = bundle.predict_corpus(docs)
-    outputs = _write_prediction_dir(out, docs, predictions)
-    frame_lines = []
-    for doc in docs:
-        relations = predictions_to_relations(predictions[doc.doc_id])
-        frame_lines.extend(frames_to_jsonl(doc, decode_frames(doc.entities, relations, bundle.schema, doc.doc_id)))
+    pred_docs, outputs = _write_prediction_dir(out, docs, predictions)
+    frame_lines = [line for doc in pred_docs for line in frames_to_jsonl(doc, build_frames(doc, bundle.schema))]
     frames_path = os.path.join(out, "frames.jsonl")
     _write_lines(frames_path, frame_lines)
     reports = {mode: evaluate(gold_docs, predictions, mode, bundle.schema) for mode in ("strict", "lenient")}

@@ -36,6 +36,7 @@ from .windowing import (
     SPECIAL_TOKENS,
     EncodedSegment,
     RelationClassMap,
+    TokenTable,
     Vocabulary,
     admit_entities,
     encode_segment,
@@ -384,11 +385,13 @@ class InferenceBundle:
         ``max_tokens``). The forward pass computes in float32, whatever the
         parameters' dtype.
         """
-        admitted = admit_entities(doc.text, entities if entities is not None else doc.entities)
+        table = TokenTable.of(doc.text)
+        admitted = admit_entities(table, entities if entities is not None else doc.entities)
         work_doc = Document(doc.doc_id, doc.text, admitted, ())
         best: dict[tuple[str, str], tuple[float, str]] = {}
         entity_by_id = {e.id: e for e in admitted}
-        for segment in make_segments(work_doc, self.window_chars, self.stride_chars, self.model.config.max_positions):
+        max_tokens = self.model.config.max_positions
+        for segment in make_segments(work_doc, self.window_chars, self.stride_chars, max_tokens, table):
             encoded = encode_segment(segment, self.vocab, self.schema, (), self.class_map)
             with ag.no_grad():
                 logits = self.model.forward(encoded, train=False)

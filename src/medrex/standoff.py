@@ -64,7 +64,8 @@ class StandoffError(ValueError):
 
 
 def _escape_surface(slice_text: str) -> str:
-    return slice_text.replace("\r", " ").replace("\n", " ")
+    # each character at which str.splitlines ends an .ann line becomes a space
+    return slice_text.translate(dict.fromkeys(map(ord, "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), " "))
 
 
 def parse_standoff(

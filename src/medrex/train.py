@@ -33,7 +33,6 @@ from .optim import adam_step, lr_at
 from .schema import SchemaProfile
 from .standoff import Document, validate_document
 from .windowing import (
-    SPECIAL_TOKENS,
     EncodedSegment,
     RelationClassMap,
     Vocabulary,
@@ -250,10 +249,10 @@ def _header_values(config: dict) -> tuple[Vocabulary, int, int, bool]:
 
     A bad value raises ValueError naming its key.
     """
-    tokens = config["vocab"]
-    if (not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens)
-            or tuple(tokens[:len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS):
-        raise ValueError(f"key 'vocab' must be a list of strings starting with the reserved tokens {SPECIAL_TOKENS}")
+    try:
+        vocab = Vocabulary(config["vocab"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"key 'vocab': {exc}") from None
     window, stride = config["window_chars"], config["stride_chars"]
     for key, value in (("window_chars", window), ("stride_chars", stride)):
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
@@ -263,7 +262,7 @@ def _header_values(config: dict) -> tuple[Vocabulary, int, int, bool]:
     same_frame = config["include_same_frame"]
     if not isinstance(same_frame, bool):
         raise ValueError(f"key 'include_same_frame' must be true or false, got {same_frame!r}")
-    return Vocabulary(tokens), window, stride, same_frame
+    return vocab, window, stride, same_frame
 
 
 @ag.float32_compute()

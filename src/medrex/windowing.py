@@ -1,11 +1,12 @@
-"""Tokenization, character sliding windows, label alignment, pair class ids.
+"""Token tables, character sliding windows, label alignment, pair class ids.
 
+A text is tokenized once, into a ``TokenTable``; its ``cover`` is the one
+rule for which tokens a character span covers (those that overlap it).
 Windows start at 0, stride, 2*stride, ... and stop with the first window
 whose nominal span reaches the end of the text, so stride <= window size
 guarantees every character is covered exactly by construction. Window
-boundaries are snapped outward to token boundaries so no token is split;
-the stored bounds are the snapped ones and may exceed the nominal size by
-at most one token overhang per side.
+bounds snap outward to the edges of the tokens they cut, so no token is
+split and a bound may exceed the nominal one by at most one token per side.
 
 Prediction also caps a window's tokens at the model's ``max_positions``:
 a longer window is cut into overlapping pieces of at most that many tokens.
@@ -46,14 +47,21 @@ class WindowingError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    start: int
-    end: int
+class TokenTable:
+    """A text's tokens, in text order: each one's surface and [start, end) character offsets."""
 
+    surfaces: tuple[str, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
 
-def tokenize(text: str) -> list[Token]:
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    @classmethod
+    def of(cls, text: str) -> "TokenTable":
+        matches = list(_TOKEN_RE.finditer(text))
+        return cls(tuple(m[0] for m in matches), tuple(m.start() for m in matches), tuple(m.end() for m in matches))
+
+    def cover(self, lo: int, hi: int) -> tuple[int, int]:
+        """The tokens that overlap the characters [lo, hi), as the index range [first, stop); empty when none do."""
+        return bisect_right(self.ends, lo), bisect_left(self.starts, hi)
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,9 @@ class Segment:
     doc_id: str
     window_start: int
     window_end: int
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]  # surfaces
     entities: tuple[Entity, ...]  # fully contained, schema-typed, offset order
+    entity_spans: tuple[tuple[int, int], ...]  # (first, last) token index per entity; first > last when it covers none
 
 
 def window_starts(text_length: int, window_chars: int, stride_chars: int) -> list[int]:
@@ -76,7 +85,8 @@ def window_starts(text_length: int, window_chars: int, stride_chars: int) -> lis
 
 
 def make_segments(
-    doc: Document, window_chars: int, stride_chars: int, max_tokens: int | None = None
+    doc: Document, window_chars: int, stride_chars: int, max_tokens: int | None = None,
+    table: TokenTable | None = None,
 ) -> list[Segment]:
     """The document's windows that hold at least two entities, in window order.
 
@@ -84,35 +94,30 @@ def make_segments(
     into pieces at ``window_starts(len(tokens), max_tokens, max(1, max_tokens // 2))``.
     Each piece spans its first token's start to its last token's end, holds
     the entities fully inside that span, and is dropped, like a window, when
-    it holds fewer than two.
+    it holds fewer than two. ``table`` is ``TokenTable.of(doc.text)``, if the caller has it.
     """
-    tokens = tokenize(doc.text)
-    entities = sorted(
-        (e for e in doc.entities if e.etype != OTHER_TYPE),
-        key=lambda e: (e.start, e.end, e.id),
-    )
+    table = table or TokenTable.of(doc.text)
+    entities = sorted((e for e in doc.entities if e.etype != OTHER_TYPE), key=lambda e: (e.start, e.end, e.id))
     segments: list[Segment] = []
-    for nominal_start in window_starts(len(doc.text), window_chars, stride_chars):
-        nominal_end = min(nominal_start + window_chars, len(doc.text))
-        inside_tokens = tuple(t for t in tokens if t.end > nominal_start and t.start < nominal_end)
-        if inside_tokens:
-            snapped_start = min(nominal_start, inside_tokens[0].start)
-            snapped_end = max(nominal_end, inside_tokens[-1].end)
-        else:
-            snapped_start, snapped_end = nominal_start, nominal_end
-        spans = [(snapped_start, snapped_end, inside_tokens)]
-        if max_tokens is not None and len(inside_tokens) > max_tokens:
-            starts = window_starts(len(inside_tokens), max_tokens, max(1, max_tokens // 2))
-            pieces = [inside_tokens[s:s + max_tokens] for s in starts]
-            spans = [(piece[0].start, piece[-1].end, piece) for piece in pieces]
-        for start, end, piece in spans:
+    for window_start in window_starts(len(doc.text), window_chars, stride_chars):
+        window_end = min(window_start + window_chars, len(doc.text))
+        first, stop = table.cover(window_start, window_end)
+        if first < stop:  # snap outward to the edges of the tokens the window cuts
+            window_start, window_end = min(window_start, table.starts[first]), max(window_end, table.ends[stop - 1])
+        pieces = [(window_start, window_end, first, stop)]
+        if max_tokens is not None and stop - first > max_tokens:
+            lows = [first + s for s in window_starts(stop - first, max_tokens, max(1, max_tokens // 2))]
+            highs = [min(lo + max_tokens, stop) for lo in lows]
+            pieces = [(table.starts[lo], table.ends[hi - 1], lo, hi) for lo, hi in zip(lows, highs)]
+        for start, end, lo, hi in pieces:
             contained = tuple(e for e in entities if e.start >= start and e.end <= end)
             if len(contained) >= 2:
-                segments.append(Segment(doc.doc_id, start, end, piece, contained))
+                spans = tuple((a - lo, b - 1 - lo) for a, b in (table.cover(e.start, e.end) for e in contained))
+                segments.append(Segment(doc.doc_id, start, end, table.surfaces[lo:hi], contained, spans))
     return segments
 
 
-def admit_entities(text: str, entities) -> tuple[Entity, ...]:
+def admit_entities(table: TokenTable, entities) -> tuple[Entity, ...]:
     """The typed entities that prediction labels: no two overlap, share a token or share an id.
 
     ``OTHER`` entities and entities that cover no token are left out. The rest
@@ -121,17 +126,15 @@ def admit_entities(text: str, entities) -> tuple[Entity, ...]:
     or shares a token or its id with it, is left out, so the result does not
     depend on the input order.
     """
-    matches = list(_TOKEN_RE.finditer(text))  # the tokens' spans, without building Token objects
-    starts, ends = [m.start() for m in matches], [m.end() for m in matches]
     admitted: list[tuple[int, int, Entity]] = []
     for e in sorted((e for e in entities if e.etype != OTHER_TYPE),
                     key=lambda e: (e.start - e.end, e.start, e.id, e.etype, e.surface)):
-        first, last = bisect_right(ends, e.start), bisect_left(starts, e.end) - 1
-        if first > last:
+        first, stop = table.cover(e.start, e.end)
+        if first >= stop:
             continue  # covers no token
         # the span widened to its tokens' edges: two footprints overlap exactly
         # when their entities overlap in characters or share a token
-        lo, hi = min(e.start, starts[first]), max(e.end, ends[last])
+        lo, hi = min(e.start, table.starts[first]), max(e.end, table.ends[stop - 1])
         if all((hi <= taken_lo or taken_hi <= lo) and e.id != taken.id for taken_lo, taken_hi, taken in admitted):
             admitted.append((lo, hi, e))
     return tuple(e for _, _, e in admitted)
@@ -178,8 +181,7 @@ def segment_corpus(
         report.segments_emitted += len(segments)
         report.segments_excluded += candidate_windows - len(segments)
         report.unreachable_relations += count_unreachable_relations(doc, segments)
-        for seg in segments:
-            histogram[len(seg.tokens)] += 1
+        histogram.update(len(seg.tokens) for seg in segments)
         all_segments.extend(segments)
     report.tokens_per_segment = dict(sorted(histogram.items()))
     return all_segments, report
@@ -196,20 +198,16 @@ def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ..
     """
     label_ids = {etype: i for i, etype in enumerate(schema.entity_type_list(), start=1)}
     labels = [0] * len(segment.tokens)
-    spans: list[tuple[int, int]] = []
-    for k, e in enumerate(segment.entities):
-        covered = [idx for idx, t in enumerate(segment.tokens) if t.start < e.end and e.start < t.end]
-        if not covered:
+    for k, (e, (first, last)) in enumerate(zip(segment.entities, segment.entity_spans)):
+        if first > last:
             raise WindowingError(f"entity {e.id} covers no token in its segment")
         # entities are in offset order, so a shared token is shared with the previous one
-        if spans and covered[0] <= spans[-1][1]:
+        if k and first <= segment.entity_spans[k - 1][1]:
             raise WindowingError(
                 f"entities {segment.entities[k - 1].id} and {e.id} share a token; labels are ambiguous"
             )
-        for idx in covered:
-            labels[idx] = label_ids[e.etype]
-        spans.append((covered[0], covered[-1]))
-    return tuple(labels), tuple(spans)
+        labels[first:last + 1] = [label_ids[e.etype]] * (last + 1 - first)
+    return tuple(labels), segment.entity_spans
 
 
 class RelationClassMap:
@@ -276,10 +274,11 @@ class Vocabulary:
     """Token surface to id mapping built from a training corpus; unseen -> UNK."""
 
     def __init__(self, tokens: list[str]):
-        if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
-            raise ValueError("vocabulary must start with the reserved special tokens")
         self.tokens = list(tokens)
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
+        if (not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens)
+                or tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS or len(self.index) < len(tokens)):
+            raise ValueError(f"vocabulary must be a list of distinct strings that starts with {SPECIAL_TOKENS}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -291,8 +290,7 @@ class Vocabulary:
     def build(cls, docs: list[Document]) -> "Vocabulary":
         counts: Counter[str] = Counter()
         for doc in docs:
-            for token in tokenize(doc.text):
-                counts[token.surface] += 1
+            counts.update(_TOKEN_RE.findall(doc.text))
         ordered = sorted(counts, key=lambda s: (-counts[s], s))
         return cls(list(SPECIAL_TOKENS) + ordered)
 
@@ -315,7 +313,7 @@ def encode_segment(
 ) -> EncodedSegment:
     labels, spans = align_labels(segment, schema)
     return EncodedSegment(
-        token_ids=tuple(vocab.id_for(t.surface) for t in segment.tokens),
+        token_ids=tuple(vocab.id_for(surface) for surface in segment.tokens),
         label_ids=labels,
         entities=segment.entities,
         entity_spans=spans,

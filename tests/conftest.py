@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,9 +11,9 @@ from medrex import autograd as ag
 from medrex.frames import Frame, FrameSet
 from medrex.model import ModelError, PredictedRelation, masked_loss
 from medrex.optim import adam_step, lr_at
-from medrex.schema import CORP_HUS, SAME_FRAME
+from medrex.schema import CORP_HUS, OTHER_TYPE, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
-from medrex.windowing import WindowingError, encode_segment, make_segments, ordered_entity_pairs
+from medrex.windowing import WindowingError, encode_segment, make_segments, ordered_entity_pairs, window_starts
 
 TOCILIZUMAB_TEXT = (
     "treatment with tocilizumab IV every 4 weeks from July to October, "
@@ -265,6 +266,66 @@ def pair_target_loss(logits: ag.Tensor, targets, null_class_weight: float = 1.0)
     class_ids = np.asarray([t.class_id for t in targets], dtype=np.intp)
     weights = np.where(class_ids == 0, null_class_weight, 1.0)
     return ag.reduce_mean(ag.mul(ag.cross_entropy(logits, class_ids), ag.Tensor(weights)))
+
+
+@dataclass(frozen=True)
+class Token:
+    """``windowing.Token`` in its earlier form: one token object with its character offsets."""
+
+    surface: str
+    start: int
+    end: int
+
+
+def tokenize(text: str) -> list[Token]:
+    """``windowing.tokenize`` in its earlier form, with the tokenizer's pattern restated."""
+    return [Token(m.group(), m.start(), m.end()) for m in re.finditer(r"\n|\w+|[^\w\s]", text)]
+
+
+def scan_segments(doc, window_chars, stride_chars, max_tokens=None):
+    """``windowing.make_segments`` in its earlier form: each window scans every token, each piece slices Tokens.
+
+    Returns (window_start, window_end, tokens, entities) per segment. The
+    oracle, with ``scan_align_labels``, for ``make_segments`` and ``encode_segment``.
+    """
+    tokens = tokenize(doc.text)
+    entities = sorted((e for e in doc.entities if e.etype != OTHER_TYPE), key=lambda e: (e.start, e.end, e.id))
+    segments = []
+    for nominal_start in window_starts(len(doc.text), window_chars, stride_chars):
+        nominal_end = min(nominal_start + window_chars, len(doc.text))
+        inside_tokens = tuple(t for t in tokens if t.end > nominal_start and t.start < nominal_end)
+        if inside_tokens:
+            snapped_start = min(nominal_start, inside_tokens[0].start)
+            snapped_end = max(nominal_end, inside_tokens[-1].end)
+        else:
+            snapped_start, snapped_end = nominal_start, nominal_end
+        spans = [(snapped_start, snapped_end, inside_tokens)]
+        if max_tokens is not None and len(inside_tokens) > max_tokens:
+            starts = window_starts(len(inside_tokens), max_tokens, max(1, max_tokens // 2))
+            pieces = [inside_tokens[s:s + max_tokens] for s in starts]
+            spans = [(piece[0].start, piece[-1].end, piece) for piece in pieces]
+        for start, end, piece in spans:
+            contained = tuple(e for e in entities if e.start >= start and e.end <= end)
+            if len(contained) >= 2:
+                segments.append((start, end, piece, contained))
+    return segments
+
+
+def scan_align_labels(tokens, entities, schema):
+    """``windowing.align_labels`` in its earlier form: each entity scans every token of its segment."""
+    label_ids = {etype: i for i, etype in enumerate(schema.entity_type_list(), start=1)}
+    labels = [0] * len(tokens)
+    spans = []
+    for k, e in enumerate(entities):
+        covered = [idx for idx, t in enumerate(tokens) if t.start < e.end and e.start < t.end]
+        if not covered:
+            raise WindowingError(f"entity {e.id} covers no token in its segment")
+        if spans and covered[0] <= spans[-1][1]:
+            raise WindowingError(f"entities {entities[k - 1].id} and {e.id} share a token; labels are ambiguous")
+        for idx in covered:
+            labels[idx] = label_ids[e.etype]
+        spans.append((covered[0], covered[-1]))
+    return tuple(labels), tuple(spans)
 
 
 def cost_report_dict(report) -> dict:

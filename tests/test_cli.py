@@ -311,6 +311,17 @@ def test_a_crlf_corpus_is_read_as_written(workspace, tmp_path, capsys):
     assert run_cli(["evaluate", "--gold", crlf, "--pred", preds]) == 0
 
 
+def test_predict_writes_an_entity_over_a_form_feed_that_reads_back(workspace, tmp_path):
+    data, preds = tmp_path / "data", tmp_path / "preds"
+    data.mkdir()
+    (data / "d.txt").write_text("aspirin 500\x0cmg IV daily", encoding="utf-8")
+    (data / "d.ann").write_text("T1\tDrug 0 7\taspirin\nT2\tDosage 8 14\t500 mg\nT3\tRoute 15 17\tIV\n",
+                                encoding="utf-8")
+    assert run_cli(["predict", "--ckpt", workspace / "ckpt" / "model.ckpt", "--data", data, "--out", preds]) == 0
+    assert "T2\tDosage 8 14\t500 mg\n" in (preds / "d.ann").read_text(encoding="utf-8")
+    assert run_cli(["evaluate", "--gold", data, "--pred", preds]) == 0
+
+
 def _copy_with_prefixed_text(src, dst, prefix: str = "Note "):
     """A copy of a corpus whose second document's text gains a prefix, its .ann offsets shifted to match.
 
@@ -531,6 +542,11 @@ def _tokens_after_the_reserved_ones(header):
     vocab[5:5] = [f"extra{i}" for i in range(40)]
 
 
+def _a_repeated_vocabulary_token(header):
+    vocab = header["config"]["vocab"]
+    vocab[6] = vocab[5]  # the list keeps its length, so the vocabulary size still matches
+
+
 def _an_extra_entity_type(header):
     header["config"]["schema"]["entity_types"].append("Aaa")  # sorts first: every label id would shift
 
@@ -557,6 +573,7 @@ def _relation_types_as_a_string(header):
     (_entry_without_shape, "'shape'"),
     (_relation_types_as_a_string, "'relation_types'"),
     (_tokens_after_the_reserved_ones, "vocabulary has"),
+    (_a_repeated_vocabulary_token, "distinct strings"),
     (_an_extra_entity_type, "entity types"),
 ])
 def test_predict_rejects_a_hand_edited_checkpoint_header(edit, key, workspace, tmp_path, capsys):

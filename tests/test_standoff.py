@@ -114,6 +114,18 @@ def test_entity_over_a_tab_roundtrips(corp_hus):
     assert parse_standoff(text, ann, corp_hus).entities == (entity,)
 
 
+@pytest.mark.parametrize("boundary", list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_entity_over_a_line_boundary_roundtrips_through_a_corpus_dir(boundary, tmp_path, corp_hus):
+    """Each character that ends a line for str.splitlines is written as a space in the surface."""
+    assert len(f"b{boundary}c".splitlines()) == 2
+    text = f"a b{boundary}c d"
+    entities = (Entity("T1", "Drug", 2, 5, f"b{boundary}c"), Entity("T2", "Route", 6, 7, "d"))
+    write_corpus_dir([Document("d", text, entities, ())], str(tmp_path))
+    assert (tmp_path / "d.ann").read_text(encoding="utf-8") == "T1\tDrug 2 5\tb c\nT2\tRoute 6 7\td\n"
+    (doc,) = read_corpus_dir(str(tmp_path), corp_hus)
+    assert doc.text == text and doc.entities == entities
+
+
 def test_crlf_text_roundtrips_through_a_corpus_dir_with_offsets_over_its_characters(tmp_path, corp_hus):
     text = "a b\r\nc d\r\n"
     entities = (Entity("T1", "Drug", 2, 6, "b\r\nc"), Entity("T2", "Route", 7, 8, "d"))

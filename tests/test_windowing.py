@@ -10,7 +10,7 @@ from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
 from medrex.windowing import (
     RelationClassMap,
-    Segment,
+    TokenTable,
     Vocabulary,
     WindowingError,
     admit_entities,
@@ -20,46 +20,46 @@ from medrex.windowing import (
     make_segments,
     ordered_entity_pairs,
     segment_corpus,
-    tokenize,
     window_starts,
 )
 
-from .conftest import build_pair_targets
+from .conftest import build_pair_targets, scan_align_labels, scan_segments, tokenize
 
 
 def test_tokenize_empty():
-    assert tokenize("") == []
+    assert TokenTable.of("") == TokenTable((), (), ())
 
 
 def test_tokenize_offsets():
-    tokens = tokenize("aspirin 500 mg\n")
-    assert [(t.surface, t.start, t.end) for t in tokens] == [
+    table = TokenTable.of("aspirin 500 mg\n")
+    assert list(zip(table.surfaces, table.starts, table.ends)) == [
         ("aspirin", 0, 7), ("500", 8, 11), ("mg", 12, 14), ("\n", 14, 15),
     ]
 
 
 def test_tokenize_seven_words():
-    assert len(tokenize("every 4 weeks from July to October")) == 7
+    assert len(TokenTable.of("every 4 weeks from July to October").surfaces) == 7
 
 
 def test_tokenize_newlines_and_punctuation_split():
-    tokens = tokenize("arrêt.\njusqu'à 10mg")
-    assert [t.surface for t in tokens] == ["arrêt", ".", "\n", "jusqu", "'", "à", "10mg"]
+    table = TokenTable.of("arrêt.\njusqu'à 10mg")
+    assert table.surfaces == ("arrêt", ".", "\n", "jusqu", "'", "à", "10mg")
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.text(alphabet="aé b\nc-.'x0", max_size=60))
 def test_tokenize_reconstructs_text(text):
-    tokens = tokenize(text)
-    for prev, nxt in zip(tokens, tokens[1:]):
-        assert prev.end <= nxt.start
+    table = TokenTable.of(text)
+    assert len(table.surfaces) == len(table.starts) == len(table.ends)
+    for prev_end, next_start in zip(table.ends, table.starts[1:]):
+        assert prev_end <= next_start
     rebuilt = []
     pos = 0
-    for t in tokens:
-        rebuilt.append(text[pos:t.start])
-        rebuilt.append(t.surface)
-        assert text[t.start:t.end] == t.surface
-        pos = t.end
+    for surface, start, end in zip(table.surfaces, table.starts, table.ends):
+        rebuilt.append(text[pos:start])
+        rebuilt.append(surface)
+        assert text[start:end] == surface
+        pos = end
     rebuilt.append(text[pos:])
     assert "".join(rebuilt) == text
 
@@ -90,8 +90,11 @@ def test_small_doc_single_window():
 def test_window_snaps_outward_never_splits_tokens():
     text = "alpha " * 60  # tokens of 5 chars
     doc = _doc_with(text.strip(), [("Drug", 0, 5), ("Dosage", 6, 11), ("Route", 300, 305), ("Date", 306, 311)])
+    tokens = tokenize(doc.text)
     for seg in make_segments(doc, 100, 50):
-        for t in seg.tokens:
+        touched = [t for t in tokens if t.end > seg.window_start and t.start < seg.window_end]
+        assert list(seg.tokens) == [t.surface for t in touched]
+        for t in touched:
             assert t.start >= seg.window_start and t.end <= seg.window_end
 
 
@@ -138,14 +141,7 @@ def test_align_labels_multi_token_entity():
 
 
 def test_align_labels_rejects_overlap():
-    seg = Segment(
-        "d", 0, 20,
-        tuple(tokenize("tocilizumab IV daily")),
-        (
-            Entity("T1", "Drug", 0, 11, "tocilizumab"),
-            Entity("T2", "Route", 8, 14, "mab IV"),
-        ),
-    )
+    seg = make_segments(_doc_with("tocilizumab IV daily", [("Drug", 0, 11), ("Route", 8, 14)]), 300, 150)[0]
     with pytest.raises(WindowingError, match="T1.*T2"):
         align_labels(seg, CORP_HUS)
 
@@ -183,7 +179,7 @@ _ADMISSION_ENTITIES = [
 def test_admit_entities_skips_tokenless_entities_and_keeps_the_longest_then_earliest(extra, admitted):
     entities = _ADMISSION_ENTITIES + extra
     for order in (entities, entities[::-1], random.Random(3).sample(entities, len(entities))):
-        assert [e.id for e in admit_entities(_ADMISSION_TEXT, order)] == admitted
+        assert [e.id for e in admit_entities(TokenTable.of(_ADMISSION_TEXT), order)] == admitted
 
 
 @st.composite
@@ -219,8 +215,8 @@ def test_admit_entities_matches_a_greedy_admission_over_character_and_token_sets
     for e in ranked:
         if not any(conflict(e, kept) for kept in expected):
             expected.append(e)
-    assert list(admit_entities(text, entities)) == expected
-    assert list(admit_entities(text, shuffled)) == expected
+    assert list(admit_entities(TokenTable.of(text), entities)) == expected
+    assert list(admit_entities(TokenTable.of(text), shuffled)) == expected
 
 
 def _encoded(text, spans, relations):
@@ -403,6 +399,68 @@ def test_segments_match_char_coverage_oracle():
         assert count_unreachable_relations(doc, segments) == _oracle_unreachable(doc, expected)
 
 
+@st.composite
+def _segmentations(draw):
+    """Text of words and separators; entities over whole words, plus a few arbitrary spans."""
+    pool = ["ab", "1", ",", ".", "é日", "a-b", "x'y", "ßa", "mg"]
+    words = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=30))
+    separators = draw(st.lists(st.sampled_from([" ", "\n", "\t", "  ", "", "\u00a0", " \n "]),
+                               min_size=len(words), max_size=len(words)))
+    text, spans = "", []
+    for word, separator in zip(words, separators):
+        spans.append((len(text), len(text) + len(word)))
+        text += word + separator
+    chosen = sorted(draw(st.sets(st.integers(0, len(words) - 1), min_size=2, max_size=8)))
+    bounds = [(spans[i][0], spans[i][1]) for i in chosen]
+    for _ in range(draw(st.integers(0, 2))):  # may hold only whitespace, or share a token
+        start = draw(st.integers(0, len(text) - 1))
+        bounds.append((start, draw(st.integers(start + 1, min(len(text), start + 6)))))
+    entities = tuple(
+        Entity(f"T{k + 1}", draw(st.sampled_from(["Drug", "Route", "Dosage", OTHER_TYPE])), lo, hi, text[lo:hi])
+        for k, (lo, hi) in enumerate(bounds)
+    )
+    window = draw(st.integers(1, 60))
+    stride = draw(st.integers(1, window))
+    max_tokens = draw(st.one_of(st.none(), st.integers(1, 8)))
+    return Document("d", text, entities, ()), window, stride, max_tokens
+
+
+def _encoded_rows(segments, encode):
+    """One row per segment up to the first WindowingError, and that error's message."""
+    rows = []
+    try:
+        for seg in segments:
+            rows.append(encode(seg))
+    except WindowingError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_segmentations())
+def test_segments_and_encodings_match_the_token_scan_oracle(drawn):
+    """Windows, pieces, token ids, labels and entity spans equal those of per-window and per-entity token scans."""
+    doc, window, stride, max_tokens = drawn
+    vocab, class_map = Vocabulary.build([doc]), RelationClassMap(CORP_HUS)
+
+    def encode(seg):
+        enc = encode_segment(seg, vocab, CORP_HUS, (), class_map)
+        return enc.token_ids, enc.label_ids, enc.entity_spans, len(enc.class_ids)
+
+    def oracle_encode(seg):
+        _, _, tokens, entities = seg
+        labels, spans = scan_align_labels(tokens, entities, CORP_HUS)
+        return tuple(vocab.id_for(t.surface) for t in tokens), labels, spans, len(entities) * (len(entities) - 1)
+
+    segments = make_segments(doc, window, stride, max_tokens)
+    oracle = scan_segments(doc, window, stride, max_tokens)
+    assert make_segments(doc, window, stride, max_tokens, TokenTable.of(doc.text)) == segments
+    assert [(seg.window_start, seg.window_end, seg.tokens, seg.entities) for seg in segments] == [
+        (start, end, tuple(t.surface for t in tokens), entities) for start, end, tokens, entities in oracle
+    ]
+    assert _encoded_rows(segments, encode) == _encoded_rows(oracle, oracle_encode)
+
+
 def test_segment_corpus_report_and_determinism():
     rng = random.Random(7)
     docs = [_random_doc(rng) for _ in range(20)]
@@ -446,14 +504,14 @@ def test_windows_over_the_token_cap_are_cut_into_pieces_that_fit():
         uncapped = make_segments(doc, window, window // 2)
         for seg in make_segments(doc, window, window // 2, cap):
             assert 0 < len(seg.tokens) <= cap
-            first = tokens.index(seg.tokens[0])
-            assert list(seg.tokens) == tokens[first:first + len(seg.tokens)]
+            touched = [t for t in tokens if t.end > seg.window_start and t.start < seg.window_end]
+            assert list(seg.tokens) == [t.surface for t in touched]
             assert len(seg.entities) >= 2
             assert all(e in doc.entities and seg.window_start <= e.start and e.end <= seg.window_end
                        for e in seg.entities)
             if not any(seg == whole for whole in uncapped):
                 split += 1
-                assert (seg.window_start, seg.window_end) == (seg.tokens[0].start, seg.tokens[-1].end)
+                assert (seg.window_start, seg.window_end) == (touched[0].start, touched[-1].end)
     assert split > 0
 
 
@@ -465,7 +523,7 @@ def test_a_piece_keeps_the_entities_fully_inside_it():
         Entity("T3", "Drug", 28, 37, "doliprane"),
         Entity("T4", "Dosage", 38, 41, "1 g"),
     ), ())
-    assert len(tokenize(text)) == 12
+    assert len(TokenTable.of(text).surfaces) == 12
     # pieces start at tokens 0, 2, 4, 6 and 8; the one at 6 ends inside "1 g", so it holds T3 alone and is dropped
     segments = make_segments(doc, 300, 150, 5)
     assert [(len(s.tokens), [e.id for e in s.entities]) for s in segments] == [(5, ["T1", "T2"]), (4, ["T3", "T4"])]
