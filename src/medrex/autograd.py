@@ -283,9 +283,9 @@ def pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx) -> Tensor:
 
     ``w``'s rows split into the blocks (W_i, W_j, W_r) that multiply the three
     parts, so row k is ``A[i_k] + B[j_k] + P[r_k]`` with ``A = x·W_i`` and
-    ``B = x·W_j`` over the distinct rows of x that the pairs use, and
-    ``P = rel·W_r + b`` over the distinct rows of rel. The backward scatters
-    the output gradient into A, B and P and applies the same blocks.
+    ``B = x·W_j`` over every row of x (the caller passes the rows it pairs),
+    and ``P = rel·W_r + b`` over the distinct rows of rel. The backward
+    scatters the output gradient into A, B and P and applies the same blocks.
     """
     x, rel, w, b = as_tensor(x), as_tensor(rel), as_tensor(w), as_tensor(b)
     i_idx, j_idx, rel_idx = (np.asarray(a, dtype=np.intp) for a in (i_idx, j_idx, rel_idx))
@@ -293,7 +293,7 @@ def pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx) -> Tensor:
         raise ShapeError(
             f"op 'pair_linear': x, rel and w must be 2-d, got {x.values.shape}, {rel.values.shape}, {w.values.shape}"
         )
-    width = x.values.shape[1]
+    n, width = x.values.shape
     if w.values.shape[0] != 2 * width + rel.values.shape[1] or b.values.shape != w.values.shape[1:]:
         raise ShapeError(
             f"op 'pair_linear': w {w.values.shape} and b {b.values.shape} do not fit "
@@ -301,25 +301,20 @@ def pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx) -> Tensor:
         )
     if not i_idx.shape == j_idx.shape == rel_idx.shape or i_idx.ndim != 1:
         raise ShapeError(f"op 'pair_linear': index arrays differ, {i_idx.shape}, {j_idx.shape}, {rel_idx.shape}")
-    ends = np.concatenate([i_idx, j_idx])
-    _check_rows("pair_linear", ends, x.values.shape[0])
+    _check_rows("pair_linear", np.concatenate([i_idx, j_idx]), n)
     _check_rows("pair_linear", rel_idx, rel.values.shape[0])
-    rows, inverse = np.unique(ends, return_inverse=True)
-    ia, ib = inverse[:i_idx.size], inverse[i_idx.size:]
     rel_rows, ir = np.unique(rel_idx, return_inverse=True)
     w_i, w_j, w_r = w.values[:width], w.values[width:2 * width], w.values[2 * width:]
-    h, e = x.values[rows], rel.values[rel_rows]
+    h, e = x.values, rel.values[rel_rows]
     a_tab, b_tab, p_tab = h @ w_i, h @ w_j, e @ w_r + b.values
-    values = a_tab[ia] + b_tab[ib] + p_tab[ir]
+    values = a_tab[i_idx] + b_tab[j_idx] + p_tab[ir]
 
     def backprop(g):
-        g_a = _scatter_rows(g, ia, rows.size)
-        g_b = _scatter_rows(g, ib, rows.size)
+        g_a = _scatter_rows(g, i_idx, n)
+        g_b = _scatter_rows(g, j_idx, n)
         g_p = _scatter_rows(g, ir, rel_rows.size)
         if x.requires_grad:
-            gx = np.zeros_like(x.values)
-            gx[rows] = g_a @ w_i.T + g_b @ w_j.T
-            _accumulate(x, gx, fresh=True)
+            _accumulate(x, g_a @ w_i.T + g_b @ w_j.T, fresh=True)
         if rel.requires_grad:
             grel = np.zeros_like(rel.values)
             grel[rel_rows] = g_p @ w_r.T

@@ -8,6 +8,13 @@ and each head pair is classified from (u_i, u_j, relative-position
 embedding) through one hidden dense layer. The loss touches only entity-head
 pairs; pairs over other tokens are never materialised.
 
+The pair head reads only the entity-head rows of the fusion block, so in
+prediction only those rows attend (queries from the m head rows, keys and
+values from every token), and the block's query-side work runs on m rows
+instead of seq. Training draws its fusion dropout masks over every row, so
+there every token attends and the head rows are gathered after the layer
+norm; both modes hand the pair head the same [m, fused] rows.
+
 The pair head never builds the [u_i; u_j; r(j - i)] feature rows. Its first
 layer is linear, so ``pair.fc1.w`` splits into the row blocks that multiply
 u_i, u_j and r: each head row and each distance row is projected once, and a
@@ -140,21 +147,23 @@ def _init_attention(store: ParamStore, rng: np.random.Generator, name: str, widt
 
 
 def _self_attention(
-    store: ParamStore, name: str, x: ag.Tensor, heads: int,
+    store: ParamStore, name: str, queries: ag.Tensor, x: ag.Tensor, heads: int,
     dropout_p: float, rng, train: bool,
 ) -> ag.Tensor:
-    seq, width = x.shape
+    """One output row per row of ``queries``, attending over every row of ``x`` (the keys and values)."""
+    rows, width = queries.shape
+    seq = x.shape[0]
     head_dim = width // heads
-    q = ag.linear(x, store[f"{name}.wq"], store[f"{name}.bq"])
+    q = ag.linear(queries, store[f"{name}.wq"], store[f"{name}.bq"])
     k = ag.linear(x, store[f"{name}.wk"], store[f"{name}.bk"])
     v = ag.linear(x, store[f"{name}.wv"], store[f"{name}.bv"])
-    qh = ag.transpose(ag.reshape(q, (seq, heads, head_dim)), (1, 0, 2))
+    qh = ag.transpose(ag.reshape(q, (rows, heads, head_dim)), (1, 0, 2))
     kh_t = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 2, 0))
     vh = ag.transpose(ag.reshape(v, (seq, heads, head_dim)), (1, 0, 2))
     scores = ag.mul(ag.matmul(qh, kh_t), 1.0 / np.sqrt(head_dim))
     weights = ag.dropout(ag.row_softmax(scores), dropout_p, rng, train)
     mixed = ag.matmul(weights, vh)
-    merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (seq, width))
+    merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (rows, width))
     return ag.linear(merged, store[f"{name}.wo"], store[f"{name}.bo"])
 
 
@@ -187,7 +196,7 @@ def _encode(store: ParamStore, config: ModelConfig, token_ids, dropout_rng, trai
     x = ag.add(ag.gather_rows(store["tok_emb"], ids), ag.gather_rows(store["pos_emb"], np.arange(ids.size)))
     x = ag.dropout(x, p, dropout_rng, train)
     for layer in range(config.encoder_layers):
-        attn = _self_attention(store, f"enc{layer}.attn", x, config.encoder_heads, p, dropout_rng, train)
+        attn = _self_attention(store, f"enc{layer}.attn", x, x, config.encoder_heads, p, dropout_rng, train)
         x = ag.layer_norm(
             ag.add(x, ag.dropout(attn, p, dropout_rng, train)),
             store[f"enc{layer}.ln1.gain"], store[f"enc{layer}.ln1.bias"],
@@ -221,7 +230,12 @@ class PairwiseREModel:
         self.encoder_forwards += 1
         return encoded
 
-    def fuse_and_attend(self, contextual: ag.Tensor, label_ids, train: bool = False) -> ag.Tensor:
+    def fuse_and_attend(self, contextual: ag.Tensor, label_ids, heads, train: bool = False) -> ag.Tensor:
+        """The fused rows [len(heads), fused_dim] at the token positions ``heads``.
+
+        Training draws its dropout masks over every row, so every token
+        attends there and the head rows are gathered after the layer norm.
+        """
         ids = np.asarray(label_ids, dtype=np.intp)
         if ids.shape != (contextual.shape[0],):
             raise ModelError(
@@ -231,25 +245,34 @@ class PairwiseREModel:
             raise ModelError("label id outside the label embedding table")
         cfg, store = self.config, self.params
         fused = ag.concat([contextual, ag.gather_rows(store["label_emb"], ids)])
-        attn = _self_attention(store, "fuse.attn", fused, cfg.fusion_heads, cfg.dropout, self.dropout_rng, train)
-        return ag.layer_norm(
-            ag.add(fused, ag.dropout(attn, cfg.dropout, self.dropout_rng, train)),
+        queries = fused if train else ag.gather_rows(fused, heads)
+        attn = _self_attention(
+            store, "fuse.attn", queries, fused, cfg.fusion_heads, cfg.dropout, self.dropout_rng, train,
+        )
+        out = ag.layer_norm(
+            ag.add(queries, ag.dropout(attn, cfg.dropout, self.dropout_rng, train)),
             store["fuse.ln.gain"], store["fuse.ln.bias"],
         )
+        return ag.gather_rows(out, heads) if train else out
 
-    def pair_logits(self, fused: ag.Tensor, pairs, train: bool = False) -> ag.Tensor:
+    def pair_logits(self, rows: ag.Tensor, positions, pairs, train: bool = False) -> ag.Tensor:
+        """Logits for each (i, j) pair of indices into ``rows``; distances come from the rows' token ``positions``."""
         cfg, store = self.config, self.params
-        seq = fused.shape[0]
+        n = rows.shape[0]
+        positions = np.asarray(positions, dtype=np.intp)
+        if positions.shape != (n,):
+            raise ModelError(f"expected one token position per row: {n} rows, {positions.size} positions")
         pair_array = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         if pair_array.size:
-            if pair_array.min() < 0 or pair_array.max() >= seq:
-                raise ModelError(f"pair index outside the {seq}-token sequence")
+            if pair_array.min() < 0 or pair_array.max() >= n:
+                raise ModelError(f"pair index outside the {n} rows of the sequence")
             if (pair_array[:, 0] == pair_array[:, 1]).any():
-                raise ModelError("pairs must combine two distinct token positions")
+                raise ModelError("pairs must combine two distinct rows")
         i_idx, j_idx = pair_array[:, 0], pair_array[:, 1]
-        distance = np.clip(j_idx - i_idx, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
+        offset = positions[j_idx] - positions[i_idx]
+        distance = np.clip(offset, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
         hidden = ag.gelu(ag.pair_linear(
-            fused, store["relpos_emb"], store["pair.fc1.w"], store["pair.fc1.b"], i_idx, j_idx, distance,
+            rows, store["relpos_emb"], store["pair.fc1.w"], store["pair.fc1.b"], i_idx, j_idx, distance,
         ))
         hidden = ag.dropout(hidden, cfg.dropout, self.dropout_rng, train)
         return ag.linear(hidden, store["pair.fc2.w"], store["pair.fc2.b"])
@@ -257,10 +280,9 @@ class PairwiseREModel:
     def forward(self, segment: EncodedSegment, train: bool = False) -> ag.Tensor:
         """Logits for every ordered entity-head pair, aligned with segment.class_ids."""
         contextual = self.encode_tokens(segment.token_ids, train=train)
-        fused = self.fuse_and_attend(contextual, segment.label_ids, train=train)
         heads = [first for first, _ in segment.entity_spans]
-        pairs = [(heads[a], heads[b]) for a, b in ordered_entity_pairs(len(heads))]
-        return self.pair_logits(fused, pairs, train=train)
+        rows = self.fuse_and_attend(contextual, segment.label_ids, heads, train=train)
+        return self.pair_logits(rows, heads, ordered_entity_pairs(len(heads)), train=train)
 
 
 def masked_loss(logits: ag.Tensor, class_ids: tuple[int, ...], null_class_weight: float = 1.0) -> ag.Tensor:

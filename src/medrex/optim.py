@@ -14,7 +14,7 @@ _FINITE_DIFF_EPS = 1e-5
 
 
 class ParamStore:
-    """Named trainable tensors with per-parameter Adam moments and a shared step counter."""
+    """Named trainable tensors with a shared step counter and Adam moments, made by the first ``adam_step``."""
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
@@ -27,8 +27,6 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} already registered")
         t = Tensor(np.array(values, dtype=compute_dtype()), requires_grad=True)
         self.params[name] = t
-        self._m[name] = np.zeros_like(t.values)
-        self._v[name] = np.zeros_like(t.values)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -64,6 +62,9 @@ def adam_step(store: ParamStore, lr: float) -> None:
     t = store.step_count + 1
     bc1 = 1.0 - _ADAM_BETA1 ** t
     bc2 = 1.0 - _ADAM_BETA2 ** t
+    if not store._m:
+        store._m = {name: np.zeros_like(p.values) for name, p in store.params.items()}
+        store._v = {name: np.zeros_like(p.values) for name, p in store.params.items()}
     for name, p in store.params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.values)
         m = store._m[name]

@@ -152,7 +152,7 @@ class WindowReport:
             "segments_emitted": self.segments_emitted,
             "segments_excluded": self.segments_excluded,
             "unreachable_relations": self.unreachable_relations,
-            "tokens_per_segment": {str(k): v for k, v in sorted(self.tokens_per_segment.items())},
+            "tokens_per_segment": {str(k): v for k, v in self.tokens_per_segment.items()},
         }
 
 
@@ -183,7 +183,7 @@ def segment_corpus(
         report.unreachable_relations += count_unreachable_relations(doc, segments)
         histogram.update(len(seg.tokens) for seg in segments)
         all_segments.extend(segments)
-    report.tokens_per_segment = dict(sorted(histogram.items()))
+    report.tokens_per_segment = dict(histogram)
     return all_segments, report
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from medrex import autograd as ag
+from medrex import model as model_module
 from medrex.frames import Frame, FrameSet
 from medrex.model import ModelError, PredictedRelation, masked_loss
 from medrex.optim import adam_step, lr_at
@@ -143,22 +144,85 @@ def total(x: ag.Tensor) -> ag.Tensor:
     return ag.mul(ag.reduce_mean(x), x.values.size)
 
 
-def concat_pair_logits(model, fused: ag.Tensor, pairs) -> ag.Tensor:
+def concat_pair_logits(model, rows: ag.Tensor, positions, pairs) -> ag.Tensor:
     """The pair head in its unfactorised form: one [u_i; u_j; r(j - i)] feature row per pair, then fc1.
 
     The oracle for ``PairwiseREModel.pair_logits`` (no dropout).
     """
     cfg, store = model.config, model.params
+    positions = np.asarray(positions, dtype=np.intp)
     pair_array = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     i_idx, j_idx = pair_array[:, 0], pair_array[:, 1]
-    distance = np.clip(j_idx - i_idx, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
+    offset = positions[j_idx] - positions[i_idx]
+    distance = np.clip(offset, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
     features = ag.concat([
-        ag.gather_rows(fused, i_idx),
-        ag.gather_rows(fused, j_idx),
+        ag.gather_rows(rows, i_idx),
+        ag.gather_rows(rows, j_idx),
         ag.gather_rows(store["relpos_emb"], distance),
     ])
     hidden = ag.gelu(ag.add(ag.matmul(features, store["pair.fc1.w"]), store["pair.fc1.b"]))
     return ag.add(ag.matmul(hidden, store["pair.fc2.w"]), store["pair.fc2.b"])
+
+
+def pair_linear_over_used_rows(x, rel, w, b, i_idx, j_idx, rel_idx) -> ag.Tensor:
+    """``ag.pair_linear`` in its earlier form, which projected only the distinct rows of x that the pairs use.
+
+    Its backward scattered the x gradient back into a zero array shaped like x.
+    The oracle, in ``all_rows_pair_logits``, for the pair head over head rows.
+    """
+    width = x.values.shape[1]
+    rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
+    ia, ib = inverse[:len(i_idx)], inverse[len(i_idx):]
+    rel_rows, ir = np.unique(rel_idx, return_inverse=True)
+    w_i, w_j, w_r = w.values[:width], w.values[width:2 * width], w.values[2 * width:]
+    h, e = x.values[rows], rel.values[rel_rows]
+    a_tab, b_tab, p_tab = h @ w_i, h @ w_j, e @ w_r + b.values
+
+    def backprop(g):
+        g_a = ag._scatter_rows(g, ia, rows.size)
+        g_b = ag._scatter_rows(g, ib, rows.size)
+        g_p = ag._scatter_rows(g, ir, rel_rows.size)
+        gx = np.zeros_like(x.values)
+        gx[rows] = g_a @ w_i.T + g_b @ w_j.T
+        ag._accumulate(x, gx, fresh=True)
+        grel = np.zeros_like(rel.values)
+        grel[rel_rows] = g_p @ w_r.T
+        ag._accumulate(rel, grel, fresh=True)
+        ag._accumulate(w, np.concatenate([h.T @ g_a, h.T @ g_b, e.T @ g_p]), fresh=True)
+        ag._accumulate(b, g.sum(axis=0), fresh=True)
+
+    return ag._node(a_tab[ia] + b_tab[ib] + p_tab[ir], (x, rel, w, b), backprop, "pair_linear")
+
+
+def all_rows_pair_logits(model, token_ids, label_ids, token_pairs, train: bool = False) -> ag.Tensor:
+    """``PairwiseREModel`` encode, fuse and pair head in their earlier form, in which every token attends.
+
+    The fusion block returned all [seq, fused_dim] rows and the pair head took
+    token positions. The oracle for ``fuse_and_attend`` and ``pair_logits``
+    over the head rows.
+    """
+    cfg, store, rng = model.config, model.params, model.dropout_rng
+    contextual = model.encode_tokens(token_ids, train=train)
+    fused = ag.concat([contextual, ag.gather_rows(store["label_emb"], np.asarray(label_ids, dtype=np.intp))])
+    attn = model_module._self_attention(store, "fuse.attn", fused, fused, cfg.fusion_heads, cfg.dropout, rng, train)
+    fused = ag.layer_norm(
+        ag.add(fused, ag.dropout(attn, cfg.dropout, rng, train)), store["fuse.ln.gain"], store["fuse.ln.bias"],
+    )
+    pair_array = np.asarray(token_pairs, dtype=np.intp).reshape(-1, 2)
+    i_idx, j_idx = pair_array[:, 0], pair_array[:, 1]
+    distance = np.clip(j_idx - i_idx, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
+    hidden = ag.gelu(pair_linear_over_used_rows(
+        fused, store["relpos_emb"], store["pair.fc1.w"], store["pair.fc1.b"], i_idx, j_idx, distance,
+    ))
+    hidden = ag.dropout(hidden, cfg.dropout, rng, train)
+    return ag.linear(hidden, store["pair.fc2.w"], store["pair.fc2.b"])
+
+
+def all_rows_logits(model, segment, train: bool = False) -> ag.Tensor:
+    """``PairwiseREModel.forward`` in its earlier form: every token attends, then the head pairs are scored."""
+    heads = [first for first, _ in segment.entity_spans]
+    pairs = [(heads[a], heads[b]) for a, b in ordered_entity_pairs(len(heads))]
+    return all_rows_pair_logits(model, segment.token_ids, segment.label_ids, pairs, train)
 
 
 def gelu_saving_temporaries(x: ag.Tensor) -> ag.Tensor:
@@ -192,23 +256,24 @@ def dropout_with_float_mask(x: ag.Tensor, p: float, rng: np.random.Generator) ->
     return ag._node(x.values * mask, (x,), backprop, "dropout")
 
 
-def self_attention_with_two_key_transposes(store, name, x, heads, dropout_p, rng, train):
+def self_attention_with_two_key_transposes(store, name, queries, x, heads, dropout_p, rng, train):
     """``model._self_attention`` in its earlier form, which built kᵀ with two transposes.
 
     The oracle for ``_self_attention``, which builds kᵀ with one.
     """
-    seq, width = x.shape
+    rows, width = queries.shape
+    seq = x.shape[0]
     head_dim = width // heads
-    q = ag.linear(x, store[f"{name}.wq"], store[f"{name}.bq"])
+    q = ag.linear(queries, store[f"{name}.wq"], store[f"{name}.bq"])
     k = ag.linear(x, store[f"{name}.wk"], store[f"{name}.bk"])
     v = ag.linear(x, store[f"{name}.wv"], store[f"{name}.bv"])
-    qh = ag.transpose(ag.reshape(q, (seq, heads, head_dim)), (1, 0, 2))
+    qh = ag.transpose(ag.reshape(q, (rows, heads, head_dim)), (1, 0, 2))
     kh = ag.transpose(ag.reshape(k, (seq, heads, head_dim)), (1, 0, 2))
     vh = ag.transpose(ag.reshape(v, (seq, heads, head_dim)), (1, 0, 2))
     scores = ag.mul(ag.matmul(qh, ag.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
     weights = ag.dropout(ag.row_softmax(scores), dropout_p, rng, train)
     mixed = ag.matmul(weights, vh)
-    merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (seq, width))
+    merged = ag.reshape(ag.transpose(mixed, (1, 0, 2)), (rows, width))
     return ag.linear(merged, store[f"{name}.wo"], store[f"{name}.bo"])
 
 
@@ -256,9 +321,7 @@ def build_pair_targets(segment, gold_relations, class_map, entity_spans) -> tupl
 
 def pair_target_logits(model, segment, targets, train: bool = False) -> ag.Tensor:
     """``PairwiseREModel.forward`` in its earlier form, which read the head pairs from ``PairTarget`` rows."""
-    contextual = model.encode_tokens(segment.token_ids, train=train)
-    fused = model.fuse_and_attend(contextual, segment.label_ids, train=train)
-    return model.pair_logits(fused, [(t.i, t.j) for t in targets], train=train)
+    return all_rows_pair_logits(model, segment.token_ids, segment.label_ids, [(t.i, t.j) for t in targets], train)
 
 
 def pair_target_loss(logits: ag.Tensor, targets, null_class_weight: float = 1.0) -> ag.Tensor:

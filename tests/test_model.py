@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medrex import autograd as ag
 from medrex import model as model_module
@@ -30,6 +32,7 @@ from medrex.windowing import (
 )
 
 from .conftest import (
+    all_rows_logits,
     build_pair_targets,
     concat_pair_logits,
     pair_target_logits,
@@ -107,50 +110,50 @@ def test_eval_mode_deterministic_despite_dropout_config():
 def test_fuse_shapes_and_label_sensitivity():
     model = PairwiseREModel(_config())
     contextual = model.encode_tokens([1, 2, 3, 4, 5])
-    fused = model.fuse_and_attend(contextual, [0, 0, 0, 0, 0])
+    fused = model.fuse_and_attend(contextual, [0, 0, 0, 0, 0], range(5))
     assert fused.shape == (5, 16 + 8)
     contextual2 = model.encode_tokens([1, 2, 3, 4, 5])
-    fused2 = model.fuse_and_attend(contextual2, [0, 0, 2, 0, 0])
+    fused2 = model.fuse_and_attend(contextual2, [0, 0, 2, 0, 0], range(5))
     changed_other_rows = any(
         not np.allclose(fused.values[row], fused2.values[row]) for row in (0, 1, 3, 4)
     )
     assert changed_other_rows  # attention propagates a single label change globally
     with pytest.raises(ModelError, match="label"):
-        model.fuse_and_attend(contextual, [0, 0])
+        model.fuse_and_attend(contextual, [0, 0], range(5))
 
 
 def test_pair_logits_shapes_direction_and_empty():
     model = PairwiseREModel(_config())
-    fused = model.fuse_and_attend(model.encode_tokens([1, 2, 3, 4, 5, 6]), [0, 1, 0, 2, 0, 0])
-    logits = model.pair_logits(fused, [(0, 3), (3, 0)])
+    tokens = range(6)
+    fused = model.fuse_and_attend(model.encode_tokens([1, 2, 3, 4, 5, 6]), [0, 1, 0, 2, 0, 0], tokens)
+    logits = model.pair_logits(fused, tokens, [(0, 3), (3, 0)])
     assert logits.shape == (2, 5)
     assert not np.allclose(logits.values[0], logits.values[1])
-    empty = model.pair_logits(fused, [])
+    empty = model.pair_logits(fused, tokens, [])
     assert empty.shape == (0, 5)
     with pytest.raises(ModelError, match="distinct"):
-        model.pair_logits(fused, [(2, 2)])
+        model.pair_logits(fused, tokens, [(2, 2)])
     with pytest.raises(ModelError, match="sequence"):
-        model.pair_logits(fused, [(0, 99)])
+        model.pair_logits(fused, tokens, [(0, 99)])
 
 
 def test_relative_distance_clipping_boundary():
     cfg = _config(max_rel_dist=16, max_positions=128)
     model = PairwiseREModel(cfg)
     row = np.random.default_rng(0).standard_normal(cfg.fused_dim)
-    fused = ag.Tensor(np.tile(row, (80, 1)))
-    at_limit = model.pair_logits(fused, [(0, 16)]).values
-    beyond = model.pair_logits(fused, [(0, 66)]).values
+    fused, tokens = ag.Tensor(np.tile(row, (80, 1))), range(80)
+    at_limit = model.pair_logits(fused, tokens, [(0, 16)]).values
+    beyond = model.pair_logits(fused, tokens, [(0, 66)]).values
     np.testing.assert_array_equal(at_limit, beyond)
-    neg_at_limit = model.pair_logits(fused, [(16, 0)]).values
-    neg_beyond = model.pair_logits(fused, [(66, 0)]).values
+    neg_at_limit = model.pair_logits(fused, tokens, [(16, 0)]).values
+    neg_beyond = model.pair_logits(fused, tokens, [(66, 0)]).values
     np.testing.assert_array_equal(neg_at_limit, neg_beyond)
     assert not np.allclose(at_limit, neg_at_limit)
 
 
-def _head_pairs(segment) -> list[tuple[int, int]]:
-    """The (source head, target head) token pair of each row, in ``ordered_entity_pairs`` order."""
-    return [(segment.entity_spans[a][0], segment.entity_spans[b][0])
-            for a, b in ordered_entity_pairs(len(segment.entity_spans))]
+def _heads(segment) -> list[int]:
+    """Each entity's head token position, in entity order."""
+    return [first for first, _ in segment.entity_spans]
 
 
 def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
@@ -160,14 +163,15 @@ def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
 
 def test_pair_head_matches_the_concat_form_on_the_grad_check_fixture():
     model, segment = grad_check_fixture(d_model=16, seq=12, n_entities=4, seed=0)
-    pairs = _head_pairs(segment)
+    heads = _heads(segment)
+    pairs = ordered_entity_pairs(len(heads))
     weights = ag.Tensor(np.random.default_rng(1).standard_normal((len(pairs), model.config.num_classes)))
     grads = []
-    for head in (model.pair_logits, lambda fused, p: concat_pair_logits(model, fused, p)):
+    for head in (model.pair_logits, lambda rows, positions, p: concat_pair_logits(model, rows, positions, p)):
         for _, p in model.params.items():
             p.grad = None
-        fused = model.fuse_and_attend(model.encode_tokens(segment.token_ids), segment.label_ids)
-        logits = head(fused, pairs)
+        rows = model.fuse_and_attend(model.encode_tokens(segment.token_ids), segment.label_ids, heads)
+        logits = head(rows, heads, pairs)
         ag.backward(ag.reduce_mean(ag.mul(logits, weights)))
         grads.append((logits.values, {name: p.grad.copy() for name, p in model.params.items()}))
     (got, got_grads), (want, want_grads) = grads
@@ -191,20 +195,21 @@ def test_pair_head_matches_the_concat_form_on_a_train_wide_segment():
         max_positions=len(encoded.token_ids), dropout=0.0,
     ))
     with ag.no_grad():
-        fused = model.fuse_and_attend(model.encode_tokens(encoded.token_ids), encoded.label_ids)
-        pairs = _head_pairs(encoded)
+        heads = _heads(encoded)
+        rows = model.fuse_and_attend(model.encode_tokens(encoded.token_ids), encoded.label_ids, heads)
+        pairs = ordered_entity_pairs(len(heads))
         assert len(pairs) >= 500
-        assert _relative_gap(model.pair_logits(fused, pairs).values,
-                             concat_pair_logits(model, fused, pairs).values) < 1e-12
+        assert _relative_gap(model.pair_logits(rows, heads, pairs).values,
+                             concat_pair_logits(model, rows, heads, pairs).values) < 1e-12
 
 
 def test_pair_head_matches_the_concat_form_on_reversed_clipped_and_repeated_pairs():
     cfg = _config(max_rel_dist=16, max_positions=128)
     model = PairwiseREModel(cfg)
-    fused = ag.Tensor(np.random.default_rng(2).standard_normal((80, cfg.fused_dim)))
+    fused, tokens = ag.Tensor(np.random.default_rng(2).standard_normal((80, cfg.fused_dim))), range(80)
     pairs = [(0, 16), (16, 0), (0, 17), (66, 0), (3, 79), (79, 3), (5, 6), (6, 5), (5, 6), (40, 24), (24, 40)]
-    got = model.pair_logits(fused, pairs).values
-    assert _relative_gap(got, concat_pair_logits(model, fused, pairs).values) < 1e-12
+    got = model.pair_logits(fused, tokens, pairs).values
+    assert _relative_gap(got, concat_pair_logits(model, fused, tokens, pairs).values) < 1e-12
     np.testing.assert_array_equal(got[6], got[8])
 
 
@@ -237,16 +242,17 @@ def test_class_relabeling_leaves_loss_unchanged():
     model = PairwiseREModel(cfg)
     ids = [1, 2, 3, 4, 5, 6]
     labels = [0, 1, 0, 2, 0, 3]
-    pairs, class_ids = [(1, 3), (3, 1), (1, 5), (5, 3)], [2, 0, 4, 1]
-    fused = model.fuse_and_attend(model.encode_tokens(ids), labels)
-    loss = float(masked_loss(model.pair_logits(fused, pairs), class_ids).values)
+    heads = [1, 3, 5]
+    pairs, class_ids = [(0, 1), (1, 0), (0, 2), (2, 1)], [2, 0, 4, 1]  # tokens (1, 3), (3, 1), (1, 5), (5, 3)
+    fused = model.fuse_and_attend(model.encode_tokens(ids), labels, heads)
+    loss = float(masked_loss(model.pair_logits(fused, heads, pairs), class_ids).values)
 
     perm = rng.permutation(cfg.num_classes)  # class c is renamed perm[c]
     model.params["pair.fc2.w"].values[:] = model.params["pair.fc2.w"].values[:, np.argsort(perm)]
     model.params["pair.fc2.b"].values[:] = model.params["pair.fc2.b"].values[np.argsort(perm)]
     relabeled = [int(perm[c]) for c in class_ids]
-    fused2 = model.fuse_and_attend(model.encode_tokens(ids), labels)
-    loss2 = float(masked_loss(model.pair_logits(fused2, pairs), relabeled).values)
+    fused2 = model.fuse_and_attend(model.encode_tokens(ids), labels, heads)
+    loss2 = float(masked_loss(model.pair_logits(fused2, heads, pairs), relabeled).values)
     assert loss2 == pytest.approx(loss, rel=1e-12)
 
 
@@ -274,10 +280,10 @@ def test_shape_algebra_for_random_configs():
         labels = [rng.randrange(cfg.num_entity_types + 1) for _ in range(seq)]
         contextual = model.encode_tokens(ids)
         assert contextual.shape == (seq, cfg.d_model)
-        fused_out = model.fuse_and_attend(contextual, labels)
+        fused_out = model.fuse_and_attend(contextual, labels, range(seq))
         assert fused_out.shape == (seq, cfg.fused_dim)
         pairs = [(a, b) for a in range(seq) for b in range(seq) if a != b][: rng.randint(1, 6)]
-        logits = model.pair_logits(fused_out, pairs)
+        logits = model.pair_logits(fused_out, range(seq), pairs)
         assert logits.shape == (len(pairs), cfg.num_classes)
 
 
@@ -321,9 +327,10 @@ def test_forward_only_materialises_entity_head_pairs(monkeypatch):
     scored = []
     original = model.pair_logits
 
-    def recording(fused, pairs, train=False):
-        scored.extend(pairs)
-        return original(fused, pairs, train=train)
+    def recording(rows, positions, pairs, train=False):
+        assert rows.shape[0] == len(positions) == 3
+        scored.extend((positions[i], positions[j]) for i, j in pairs)
+        return original(rows, positions, pairs, train=train)
 
     monkeypatch.setattr(model, "pair_logits", recording)
     logits = model.forward(segment)
@@ -525,6 +532,88 @@ def test_row_softmax_matches_the_numpy_softmax_bit_for_bit(compute):
         for scale in (1e-3, 1.0, 8.0, 60.0):
             values = (rng.standard_normal((40, 9)) * scale).astype(dtype)
             _assert_same_bits([ag.row_softmax(ag.Tensor(values)).values], [softmax_rows(values)])
+
+
+# the fusion geometry prediction runs with: ModelConfig's d_model, label_emb_dim and fusion_heads
+_FUSION_GEOMETRY = dict(d_model=64, encoder_heads=4, label_emb_dim=32, fusion_heads=4)
+
+
+def _head_segment(rng: np.random.Generator, cfg: ModelConfig, seq: int, heads: list[int]) -> EncodedSegment:
+    """A segment of ``seq`` random tokens whose entities have their heads (their only token) at ``heads``."""
+    labels = rng.integers(0, cfg.num_entity_types + 1, size=seq)
+    labels[heads] = rng.integers(1, cfg.num_entity_types + 1, size=len(heads))
+    return EncodedSegment(
+        token_ids=tuple(rng.integers(0, cfg.vocab_size, size=seq).tolist()),
+        label_ids=tuple(labels.tolist()),
+        entities=(),
+        entity_spans=tuple((h, h) for h in heads),
+        class_ids=tuple(rng.integers(0, cfg.num_classes, size=len(heads) * (len(heads) - 1)).tolist()),
+    )
+
+
+@st.composite
+def _head_segments(draw):
+    """Up to 180 tokens (the widest w1000 segment of the seed-7 corpus has 178) and 2-40 heads anywhere."""
+    seq = draw(st.integers(2, 180))
+    heads = draw(st.sets(st.integers(0, seq - 1), min_size=2, max_size=40))
+    if draw(st.booleans()):
+        heads |= {0, seq - 1}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _head_segment(rng, _config(), seq, sorted(heads))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_head_segments())
+def test_head_row_attention_matches_the_all_rows_oracle(segment):
+    """Prediction's head-row attention against every row attending, then the head rows.
+
+    Float32 byte equality rests on BLAS computing each row of a product the
+    same way whatever the other rows; at these shapes it does (see the test
+    below for longer sequences). Training attends from every row either way.
+    """
+    cfg = _config(max_positions=len(segment.token_ids), **_FUSION_GEOMETRY)
+    with ag.no_grad():
+        with ag.float32_compute():
+            model = PairwiseREModel(cfg)
+            _assert_same_bits([model.forward(segment).values], [all_rows_logits(model, segment).values])
+        model = PairwiseREModel(cfg)
+        assert _relative_gap(model.forward(segment).values, all_rows_logits(model, segment).values) < 1e-12
+    for compute in (contextlib.nullcontext, ag.float32_compute):
+        with compute():
+            got = _training_step_outputs(segment, cfg.vocab_size, cfg.num_classes, masked_loss)
+            want = _training_step_outputs(segment, cfg.vocab_size, cfg.num_classes, masked_loss,
+                                          forward=all_rows_logits)
+        _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("compute, bound", [(contextlib.nullcontext, 1e-12), (ag.float32_compute, 1e-5)])
+def test_head_row_attention_stays_within_rounding_of_the_oracle_on_a_long_sequence(compute, bound):
+    """At 300 tokens some BLAS builds sum the full [seq, seq] @ [seq, head_dim] product in another order."""
+    seq, rng = 300, np.random.default_rng(4)
+    cfg = _config(max_positions=seq, **_FUSION_GEOMETRY)
+    segment = _head_segment(rng, cfg, seq, sorted(rng.choice(seq, size=12, replace=False).tolist()))
+    with compute(), ag.no_grad():
+        model = PairwiseREModel(cfg)
+        assert _relative_gap(model.forward(segment).values, all_rows_logits(model, segment).values) < bound
+
+
+def test_prediction_attends_from_the_head_rows_only(monkeypatch):
+    cfg = _config(dropout=0.1)
+    model = PairwiseREModel(cfg)
+    segment = _toy_segment(cfg, n_tokens=12, n_entities=3)
+    shapes = []
+    original = ag.row_softmax
+
+    def recording(x):
+        shapes.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(ag, "row_softmax", recording)
+    model.forward(segment)
+    assert shapes == [(cfg.encoder_heads, 12, 12)] * cfg.encoder_layers + [(cfg.fusion_heads, 3, 12)]
+    shapes.clear()
+    model.forward(segment, train=True)
+    assert shapes[-1] == (cfg.fusion_heads, 12, 12)
 
 
 def _comma_dense_doc() -> Document:
