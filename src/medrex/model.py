@@ -8,12 +8,10 @@ and each head pair is classified from (u_i, u_j, relative-position
 embedding) through one hidden dense layer. The loss touches only entity-head
 pairs; pairs over other tokens are never materialised.
 
-The pair head reads only the entity-head rows of the fusion block, so in
-prediction only those rows attend (queries from the m head rows, keys and
-values from every token), and the block's query-side work runs on m rows
-instead of seq. Training draws its fusion dropout masks over every row, so
-there every token attends and the head rows are gathered after the layer
-norm; both modes hand the pair head the same [m, fused] rows.
+The pair head reads only the entity-head rows of the fusion block, so only
+those rows attend (keys and values come from every token), in training too:
+the fusion dropout masks are drawn over those rows. Prediction is therefore
+the training forward with dropout off.
 
 The pair head never builds the [u_i; u_j; r(j - i)] feature rows. Its first
 layer is linear, so ``pair.fc1.w`` splits into the row blocks that multiply
@@ -231,11 +229,7 @@ class PairwiseREModel:
         return encoded
 
     def fuse_and_attend(self, contextual: ag.Tensor, label_ids, heads, train: bool = False) -> ag.Tensor:
-        """The fused rows [len(heads), fused_dim] at the token positions ``heads``.
-
-        Training draws its dropout masks over every row, so every token
-        attends there and the head rows are gathered after the layer norm.
-        """
+        """The fused rows [len(heads), fused_dim] at the token positions ``heads``, the only rows that attend."""
         ids = np.asarray(label_ids, dtype=np.intp)
         if ids.shape != (contextual.shape[0],):
             raise ModelError(
@@ -245,15 +239,14 @@ class PairwiseREModel:
             raise ModelError("label id outside the label embedding table")
         cfg, store = self.config, self.params
         fused = ag.concat([contextual, ag.gather_rows(store["label_emb"], ids)])
-        queries = fused if train else ag.gather_rows(fused, heads)
+        queries = ag.gather_rows(fused, heads)
         attn = _self_attention(
             store, "fuse.attn", queries, fused, cfg.fusion_heads, cfg.dropout, self.dropout_rng, train,
         )
-        out = ag.layer_norm(
+        return ag.layer_norm(
             ag.add(queries, ag.dropout(attn, cfg.dropout, self.dropout_rng, train)),
             store["fuse.ln.gain"], store["fuse.ln.bias"],
         )
-        return ag.gather_rows(out, heads) if train else out
 
     def pair_logits(self, rows: ag.Tensor, positions, pairs, train: bool = False) -> ag.Tensor:
         """Logits for each (i, j) pair of indices into ``rows``; distances come from the rows' token ``positions``."""

@@ -84,6 +84,8 @@ class GenConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise GenerationError(f"{name} must lie in [0, 1], got {value}")
+        if self.seed < 0:
+            raise GenerationError(f"seed must be at least 0, got {self.seed}")
         if self.doc_count < 0:
             raise GenerationError("doc_count must be non-negative")
         if not 1 <= self.sentences_min <= self.sentences_max:

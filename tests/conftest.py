@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from medrex import autograd as ag
-from medrex import model as model_module
 from medrex.frames import Frame, FrameSet
 from medrex.model import ModelError, PredictedRelation, masked_loss
 from medrex.optim import adam_step, lr_at
@@ -168,7 +167,7 @@ def pair_linear_over_used_rows(x, rel, w, b, i_idx, j_idx, rel_idx) -> ag.Tensor
     """``ag.pair_linear`` in its earlier form, which projected only the distinct rows of x that the pairs use.
 
     Its backward scattered the x gradient back into a zero array shaped like x.
-    The oracle, in ``all_rows_pair_logits``, for the pair head over head rows.
+    The oracle, in ``all_rows_logits``, for the pair head over head rows.
     """
     width = x.values.shape[1]
     rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
@@ -194,35 +193,77 @@ def pair_linear_over_used_rows(x, rel, w, b, i_idx, j_idx, rel_idx) -> ag.Tensor
     return ag._node(a_tab[ia] + b_tab[ib] + p_tab[ir], (x, rel, w, b), backprop, "pair_linear")
 
 
-def all_rows_pair_logits(model, token_ids, label_ids, token_pairs, train: bool = False) -> ag.Tensor:
-    """``PairwiseREModel`` encode, fuse and pair head in their earlier form, in which every token attends.
+def dropout_at_rows(x: ag.Tensor, rows, p: float, rng: np.random.Generator, train: bool) -> ag.Tensor:
+    """``ag.dropout`` with its mask drawn over ``rows`` of x's second-to-last axis, mask row r at ``rows[r]``.
 
-    The fusion block returned all [seq, fused_dim] rows and the pair head took
-    token positions. The oracle for ``fuse_and_attend`` and ``pair_logits``
-    over the head rows.
+    The other rows pass unchanged. The oracle's form of the fusion dropouts,
+    whose masks the model draws over the head rows only.
     """
-    cfg, store, rng = model.config, model.params, model.dropout_rng
-    contextual = model.encode_tokens(token_ids, train=train)
-    fused = ag.concat([contextual, ag.gather_rows(store["label_emb"], np.asarray(label_ids, dtype=np.intp))])
-    attn = model_module._self_attention(store, "fuse.attn", fused, fused, cfg.fusion_heads, cfg.dropout, rng, train)
-    fused = ag.layer_norm(
-        ag.add(fused, ag.dropout(attn, cfg.dropout, rng, train)), store["fuse.ln.gain"], store["fuse.ln.bias"],
-    )
+    if not train or p <= 0.0:
+        return x
+    dtype = ag.compute_dtype()
+    drawn = x.values.shape[:-2] + (len(rows),) + x.values.shape[-1:]
+    keep = np.ones(x.values.shape, dtype=bool)
+    keep[..., rows, :] = rng.random(drawn, dtype=dtype) >= p
+    factor = dtype.type(1) / dtype.type(1 - p)
+    values = x.values * keep
+    values[..., rows, :] *= factor
+
+    def backprop(g):
+        gx = g * keep
+        gx[..., rows, :] *= factor
+        ag._accumulate(x, gx, fresh=True)
+
+    return ag._node(values, (x,), backprop, "dropout")
+
+
+def _pair_head_over_token_pairs(model, rows: ag.Tensor, positions, token_pairs, train: bool) -> ag.Tensor:
+    """The pair head in its earlier form: pairs of token indices, read from ``rows`` at token ``positions``."""
+    cfg, store = model.config, model.params
+    row_of = {int(pos): r for r, pos in enumerate(positions)}
     pair_array = np.asarray(token_pairs, dtype=np.intp).reshape(-1, 2)
-    i_idx, j_idx = pair_array[:, 0], pair_array[:, 1]
-    distance = np.clip(j_idx - i_idx, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
+    i_tok, j_tok = pair_array[:, 0], pair_array[:, 1]
+    i_idx = np.asarray([row_of[t] for t in i_tok.tolist()], dtype=np.intp)
+    j_idx = np.asarray([row_of[t] for t in j_tok.tolist()], dtype=np.intp)
+    distance = np.clip(j_tok - i_tok, -cfg.max_rel_dist, cfg.max_rel_dist) + cfg.max_rel_dist
     hidden = ag.gelu(pair_linear_over_used_rows(
-        fused, store["relpos_emb"], store["pair.fc1.w"], store["pair.fc1.b"], i_idx, j_idx, distance,
+        rows, store["relpos_emb"], store["pair.fc1.w"], store["pair.fc1.b"], i_idx, j_idx, distance,
     ))
-    hidden = ag.dropout(hidden, cfg.dropout, rng, train)
+    hidden = ag.dropout(hidden, cfg.dropout, model.dropout_rng, train)
     return ag.linear(hidden, store["pair.fc2.w"], store["pair.fc2.b"])
 
 
 def all_rows_logits(model, segment, train: bool = False) -> ag.Tensor:
-    """``PairwiseREModel.forward`` in its earlier form: every token attends, then the head pairs are scored."""
+    """``PairwiseREModel.forward`` in its earlier form, in which every token attends.
+
+    The fusion block returned all [seq, fused_dim] rows and the pair head took
+    token positions. In training, the fusion dropout masks are drawn over the
+    head rows in the model's draw order and applied at those rows. The oracle
+    for ``fuse_and_attend`` and ``pair_logits`` over the head rows.
+    """
+    cfg, store, rng = model.config, model.params, model.dropout_rng
     heads = [first for first, _ in segment.entity_spans]
+    label_ids = np.asarray(segment.label_ids, dtype=np.intp)
+    contextual = model.encode_tokens(segment.token_ids, train=train)
+    fused = ag.concat([contextual, ag.gather_rows(store["label_emb"], label_ids)])
+    seq, width = fused.shape
+    head_dim = width // cfg.fusion_heads
+    q = ag.linear(fused, store["fuse.attn.wq"], store["fuse.attn.bq"])
+    k = ag.linear(fused, store["fuse.attn.wk"], store["fuse.attn.bk"])
+    v = ag.linear(fused, store["fuse.attn.wv"], store["fuse.attn.bv"])
+    qh = ag.transpose(ag.reshape(q, (seq, cfg.fusion_heads, head_dim)), (1, 0, 2))
+    kh_t = ag.transpose(ag.reshape(k, (seq, cfg.fusion_heads, head_dim)), (1, 2, 0))
+    vh = ag.transpose(ag.reshape(v, (seq, cfg.fusion_heads, head_dim)), (1, 0, 2))
+    scores = ag.mul(ag.matmul(qh, kh_t), 1.0 / np.sqrt(head_dim))
+    weights = dropout_at_rows(ag.row_softmax(scores), heads, cfg.dropout, rng, train)
+    merged = ag.reshape(ag.transpose(ag.matmul(weights, vh), (1, 0, 2)), (seq, width))
+    attn = ag.linear(merged, store["fuse.attn.wo"], store["fuse.attn.bo"])
+    fused = ag.layer_norm(
+        ag.add(fused, dropout_at_rows(attn, heads, cfg.dropout, rng, train)),
+        store["fuse.ln.gain"], store["fuse.ln.bias"],
+    )
     pairs = [(heads[a], heads[b]) for a, b in ordered_entity_pairs(len(heads))]
-    return all_rows_pair_logits(model, segment.token_ids, segment.label_ids, pairs, train)
+    return _pair_head_over_token_pairs(model, fused, range(seq), pairs, train)
 
 
 def gelu_saving_temporaries(x: ag.Tensor) -> ag.Tensor:
@@ -320,8 +361,16 @@ def build_pair_targets(segment, gold_relations, class_map, entity_spans) -> tupl
 
 
 def pair_target_logits(model, segment, targets, train: bool = False) -> ag.Tensor:
-    """``PairwiseREModel.forward`` in its earlier form, which read the head pairs from ``PairTarget`` rows."""
-    return all_rows_pair_logits(model, segment.token_ids, segment.label_ids, [(t.i, t.j) for t in targets], train)
+    """``PairwiseREModel.forward`` in its earlier form, which read the head pairs from ``PairTarget`` rows.
+
+    Its fusion step is the model's own, over the heads in the order the
+    targets first name them.
+    """
+    token_pairs = [(t.i, t.j) for t in targets]
+    heads = list(dict.fromkeys(token for pair in token_pairs for token in pair))
+    contextual = model.encode_tokens(segment.token_ids, train=train)
+    rows = model.fuse_and_attend(contextual, segment.label_ids, heads, train=train)
+    return _pair_head_over_token_pairs(model, rows, heads, token_pairs, train)
 
 
 def pair_target_loss(logits: ag.Tensor, targets, null_class_weight: float = 1.0) -> ag.Tensor:

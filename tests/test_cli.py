@@ -422,6 +422,14 @@ def test_grad_check_samples_below_one_exit_6(samples, capsys):
     assert error["error"] == "config" and "--samples" in error["message"]
 
 
+def test_generate_negative_seed_exits_3_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run_cli(["generate", "--seed", -1, "--docs", 2, "--out", out]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation" and "seed must be at least 0, got -1" in error["message"]
+    assert not out.exists()
+
+
 def test_grad_check_negative_seed_exit_6(capsys):
     assert run_cli(["grad-check", "--preset", "small", "--seed", -1]) == 6
     error = json.loads(capsys.readouterr().err)

@@ -471,11 +471,12 @@ def _densest_segment():
 
 
 def _training_step_outputs(
-    segment, vocab_size, num_classes, loss_fn, forward=PairwiseREModel.forward,
+    segment, vocab_size, num_classes, loss_fn, forward=PairwiseREModel.forward, **geometry,
 ) -> list[np.ndarray]:
     """Logits, loss and every parameter gradient of one training-mode forward (dropout on) and backward."""
     model = PairwiseREModel(_config(
         vocab_size=vocab_size, num_classes=num_classes, max_positions=len(segment.token_ids), dropout=0.1,
+        **geometry,
     ))
     logits = forward(model, segment, train=True)
     loss = loss_fn(logits, segment.class_ids)
@@ -565,11 +566,14 @@ def _head_segments(draw):
 @settings(max_examples=150, deadline=None)
 @given(_head_segments())
 def test_head_row_attention_matches_the_all_rows_oracle(segment):
-    """Prediction's head-row attention against every row attending, then the head rows.
+    """The head-row fusion against every row attending, then the head rows.
 
-    Float32 byte equality rests on BLAS computing each row of a product the
-    same way whatever the other rows; at these shapes it does (see the test
-    below for longer sequences). Training attends from every row either way.
+    Float32 byte equality of prediction rests on BLAS computing each row of a
+    product the same way whatever the other rows; at these shapes it does (see
+    the test below for longer sequences). In training the oracle draws the
+    fusion dropout masks over the head rows too. Its weight gradients sum over
+    seq rows with zeros among them instead of over the m head rows, so they
+    agree within rounding, relative to the largest oracle gradient entry.
     """
     cfg = _config(max_positions=len(segment.token_ids), **_FUSION_GEOMETRY)
     with ag.no_grad():
@@ -578,42 +582,71 @@ def test_head_row_attention_matches_the_all_rows_oracle(segment):
             _assert_same_bits([model.forward(segment).values], [all_rows_logits(model, segment).values])
         model = PairwiseREModel(cfg)
         assert _relative_gap(model.forward(segment).values, all_rows_logits(model, segment).values) < 1e-12
-    for compute in (contextlib.nullcontext, ag.float32_compute):
+    for compute, bound in ((contextlib.nullcontext, 1e-12), (ag.float32_compute, 1e-5)):
         with compute():
-            got = _training_step_outputs(segment, cfg.vocab_size, cfg.num_classes, masked_loss)
+            got = _training_step_outputs(segment, cfg.vocab_size, cfg.num_classes, masked_loss,
+                                         **_FUSION_GEOMETRY)
             want = _training_step_outputs(segment, cfg.vocab_size, cfg.num_classes, masked_loss,
-                                          forward=all_rows_logits)
-        _assert_same_bits(got, want)
+                                          forward=all_rows_logits, **_FUSION_GEOMETRY)
+        _assert_same_bits(got[:2], want[:2])
+        scale = max(np.abs(grad).max() for grad in want[2:])
+        for g, w in zip(got[2:], want[2:]):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.abs(g - w).max() < bound * scale
+
+
+def _long_head_segment() -> tuple[ModelConfig, EncodedSegment]:
+    """300 random tokens with 12 heads, at prediction's fusion geometry and no dropout."""
+    seq, rng = 300, np.random.default_rng(4)
+    cfg = _config(max_positions=seq, **_FUSION_GEOMETRY)
+    return cfg, _head_segment(rng, cfg, seq, sorted(rng.choice(seq, size=12, replace=False).tolist()))
 
 
 @pytest.mark.parametrize("compute, bound", [(contextlib.nullcontext, 1e-12), (ag.float32_compute, 1e-5)])
 def test_head_row_attention_stays_within_rounding_of_the_oracle_on_a_long_sequence(compute, bound):
     """At 300 tokens some BLAS builds sum the full [seq, seq] @ [seq, head_dim] product in another order."""
-    seq, rng = 300, np.random.default_rng(4)
-    cfg = _config(max_positions=seq, **_FUSION_GEOMETRY)
-    segment = _head_segment(rng, cfg, seq, sorted(rng.choice(seq, size=12, replace=False).tolist()))
+    cfg, segment = _long_head_segment()
     with compute(), ag.no_grad():
         model = PairwiseREModel(cfg)
         assert _relative_gap(model.forward(segment).values, all_rows_logits(model, segment).values) < bound
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_prediction_is_the_training_forward_without_dropout_on_a_long_sequence(compute):
+    """Both modes run one fusion computation, so with dropout 0 they agree bit for bit at any length."""
+    cfg, segment = _long_head_segment()
+    with compute():
+        model = PairwiseREModel(cfg)
+        trained = model.forward(segment, train=True).values
+        with ag.no_grad():
+            _assert_same_bits([model.forward(segment).values], [trained])
 
 
 def test_prediction_attends_from_the_head_rows_only(monkeypatch):
     cfg = _config(dropout=0.1)
     model = PairwiseREModel(cfg)
     segment = _toy_segment(cfg, n_tokens=12, n_entities=3)
-    shapes = []
-    original = ag.row_softmax
+    shapes, dropped = [], []
+    softmax, dropout = ag.row_softmax, ag.dropout
 
-    def recording(x):
+    def recording_softmax(x):
         shapes.append(x.shape)
-        return original(x)
+        return softmax(x)
 
-    monkeypatch.setattr(ag, "row_softmax", recording)
+    def recording_dropout(x, p, rng=None, training=False):
+        dropped.append(x.shape)
+        return dropout(x, p, rng, training)
+
+    monkeypatch.setattr(ag, "row_softmax", recording_softmax)
+    monkeypatch.setattr(ag, "dropout", recording_dropout)
     model.forward(segment)
     assert shapes == [(cfg.encoder_heads, 12, 12)] * cfg.encoder_layers + [(cfg.fusion_heads, 3, 12)]
     shapes.clear()
+    dropped.clear()
     model.forward(segment, train=True)
-    assert shapes[-1] == (cfg.fusion_heads, 12, 12)
+    assert shapes[-1] == (cfg.fusion_heads, 3, 12)
+    # the fusion block's two dropouts come just before the pair head's
+    assert dropped[-3:-1] == [(cfg.fusion_heads, 3, 12), (3, cfg.fused_dim)]
 
 
 def _comma_dense_doc() -> Document:

@@ -21,6 +21,8 @@ def test_config_validation():
         GenConfig(multi_frame_rate=1.5)
     with pytest.raises(GenerationError):
         GenConfig(sentences_min=5, sentences_max=2)
+    with pytest.raises(GenerationError, match="seed must be at least 0, got -1"):
+        GenConfig(seed=-1)
 
 
 def test_every_document_validates_with_exact_offsets():

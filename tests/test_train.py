@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import os
@@ -79,6 +80,35 @@ def test_single_segment_single_epoch_is_one_step():
     assert len(result.run_log) == 1
     assert result.model.encoder_forwards == 1
     assert result.window_report.segments_emitted == 1
+
+
+# the op kinds of one pairwise forward at two encoder layers (ModelConfig's default), without dropout
+_FORWARD_OPS = collections.Counter(
+    add=6, concat=1, gather_rows=4, gelu=3, layer_norm=5, linear=17, matmul=6, mul=3, pair_linear=1,
+    reshape=12, row_softmax=3, transpose=12,
+)
+
+
+def test_one_training_segment_and_one_prediction_window_record_pinned_op_kinds(monkeypatch):
+    """87 nodes per training segment and 73 forward ops per prediction window, by op kind."""
+    ops = collections.Counter()
+    original = ag._node
+
+    def counting_node(values, parents, backprop, op):
+        ops[op] += 1
+        return original(values, parents, backprop, op)
+
+    monkeypatch.setattr(ag, "_node", counting_node)
+    overrides = {**TINY, "encoder_layers": 2}
+    result = train([_aspirin_doc()], CORP_HUS, TrainConfig(epochs=1, seed=0), model_overrides=overrides)
+    # ten dropouts, the loss (cross entropy, class weights, mean) and the loop's 1/n scaling
+    assert ops == _FORWARD_OPS + collections.Counter(dropout=10, cross_entropy=1, mul=2, mean=1)
+    assert sum(ops.values()) == 87
+    ops.clear()
+    result.predict(_aspirin_doc())
+    # one window's forward, then the softmax over its logits
+    assert ops == _FORWARD_OPS + collections.Counter(row_softmax=1)
+    assert sum(_FORWARD_OPS.values()) == 73
 
 
 def test_no_trainable_segments_is_an_error():
