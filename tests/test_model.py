@@ -568,12 +568,15 @@ def _head_segments(draw):
 def test_head_row_attention_matches_the_all_rows_oracle(segment):
     """The head-row fusion against every row attending, then the head rows.
 
-    Float32 byte equality of prediction rests on BLAS computing each row of a
-    product the same way whatever the other rows; at these shapes it does (see
-    the test below for longer sequences). In training the oracle draws the
-    fusion dropout masks over the head rows too. Its weight gradients sum over
-    seq rows with zeros among them instead of over the m head rows, so they
-    agree within rounding, relative to the largest oracle gradient entry.
+    Float32 byte equality rests on BLAS computing each row of a product the
+    same way whatever the other rows; at these shapes it does (see the test
+    below for longer sequences). In float64 a multithreaded OpenBLAS computes
+    the all-rows fusion scores [fusion_heads, seq, seq] in another order from
+    about 150 tokens, so float64 logits and loss agree within rounding, in
+    prediction and in training alike. In training the oracle draws the fusion
+    dropout masks over the head rows too. Its weight gradients sum over seq
+    rows with zeros among them instead of over the m head rows, so they agree
+    within rounding, relative to the largest oracle gradient entry.
     """
     cfg = _config(max_positions=len(segment.token_ids), **_FUSION_GEOMETRY)
     with ag.no_grad():
@@ -588,7 +591,11 @@ def test_head_row_attention_matches_the_all_rows_oracle(segment):
                                          **_FUSION_GEOMETRY)
             want = _training_step_outputs(segment, cfg.vocab_size, cfg.num_classes, masked_loss,
                                           forward=all_rows_logits, **_FUSION_GEOMETRY)
-        _assert_same_bits(got[:2], want[:2])
+        if compute is ag.float32_compute:
+            _assert_same_bits(got[:2], want[:2])
+        else:
+            for g, w in zip(got[:2], want[:2]):
+                assert g.dtype == w.dtype and _relative_gap(g, w) < bound
         scale = max(np.abs(grad).max() for grad in want[2:])
         for g, w in zip(got[2:], want[2:]):
             assert g.dtype == w.dtype and g.shape == w.shape
