@@ -1,3 +1,12 @@
+# Pin BLAS to one thread before numpy loads, as the CLI does. The oracles below
+# are compared byte for byte with the model, and they take products over other
+# row counts than the model's; a multithreaded OpenBLAS may sum those in
+# another order.
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import itertools
 import math
 import random
