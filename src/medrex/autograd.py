@@ -22,12 +22,20 @@ with ``requires_grad``) survive.
 Finiteness is always checked: a NaN or Inf in an op's output or in a
 gradient ``backward`` pushes raises ``FloatingPointError``.
 
+An op writes only into arrays it allocated in that call. It never writes
+into its inputs' ``.values``, into the gradient handed to its backward, or
+into an array its backward has saved; within those bounds the hot ops
+(``gelu``, ``layer_norm``, ``row_softmax``, ``pair_linear``) compute in
+place, applying the same numpy operations in the same order as the
+out-of-place expressions, so every value is the same bit for bit.
+
 The op set is intentionally small: exactly what the relation-extraction
 models need, with two fused ops where a layer is hot (``linear`` for
 ``x @ w + b``, ``pair_linear`` for the factorised pair layer). No views, no
 in-place arithmetic on recorded tensors, no broadcasting rules beyond
-numpy's. Row gathers scatter their gradient back with a sort and
-``np.add.reduceat``, never ``np.add.at``.
+numpy's. Row gathers scatter their gradient back with ``np.add.reduceat``
+over rows grouped by index, never ``np.add.at``; the rows are grouped by a
+stable sort unless the indices are already non-decreasing.
 """
 
 from __future__ import annotations
@@ -244,17 +252,22 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     The gradient of a row gather. Distinct indices are a plain assignment;
     otherwise a stable sort groups equal indices and ``np.add.reduceat`` sums
     each group in its original row order, so the result is deterministic.
+    Non-decreasing indices are grouped already, so they skip the sort and
+    the reordered copy of ``g``.
     """
     out = np.zeros((n_rows,) + g.shape[1:], dtype=g.dtype)
     if idx.size == 0:
         return out
-    order = np.argsort(idx, kind="stable")
-    ordered = idx[order]
+    if (idx[1:] >= idx[:-1]).all():
+        ordered, g_ordered = idx, g
+    else:
+        order = np.argsort(idx, kind="stable")
+        ordered, g_ordered = idx[order], g[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     if starts.size == idx.size:
         out[idx] = g
     else:
-        out[ordered[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        out[ordered[starts]] = np.add.reduceat(g_ordered, starts, axis=0)
     return out
 
 
@@ -307,14 +320,18 @@ def pair_linear(x, rel, w, b, i_idx, j_idx, rel_idx) -> Tensor:
     w_i, w_j, w_r = w.values[:width], w.values[width:2 * width], w.values[2 * width:]
     h, e = x.values, rel.values[rel_rows]
     a_tab, b_tab, p_tab = h @ w_i, h @ w_j, e @ w_r + b.values
-    values = a_tab[i_idx] + b_tab[j_idx] + p_tab[ir]
+    values = a_tab[i_idx]
+    values += b_tab[j_idx]
+    values += p_tab[ir]
 
     def backprop(g):
         g_a = _scatter_rows(g, i_idx, n)
         g_b = _scatter_rows(g, j_idx, n)
         g_p = _scatter_rows(g, ir, rel_rows.size)
         if x.requires_grad:
-            _accumulate(x, g_a @ w_i.T + g_b @ w_j.T, fresh=True)
+            gx = g_a @ w_i.T
+            gx += g_b @ w_j.T
+            _accumulate(x, gx, fresh=True)
         if rel.requires_grad:
             grel = np.zeros_like(rel.values)
             grel[rel_rows] = g_p @ w_r.T
@@ -334,8 +351,11 @@ def row_softmax(x: Tensor) -> Tensor:
     out_values /= out_values.sum(axis=-1, keepdims=True)
 
     def backprop(g):
-        inner = (g * out_values).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - inner) * out_values, fresh=True)
+        gx = g * out_values
+        inner = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= out_values
+        _accumulate(x, gx, fresh=True)
 
     return _node(out_values, (x,), backprop, "row_softmax")
 
@@ -354,12 +374,33 @@ def gelu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     v = x.values
     v_sq = v * v
-    t = np.tanh(_GELU_C * (v + _GELU_A * (v_sq * v)))
-    half_gate = 0.5 * (1.0 + t)
-    values = v * half_gate
+    # t = tanh(C * (v + A * v^3)), built in one buffer
+    t = v_sq * v
+    t *= _GELU_A
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
     if not _records(x):
-        return _node(values, (x,), None, "gelu")
-    d = half_gate + 0.5 * v * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * v_sq)
+        # values = v * half_gate, with half_gate = 0.5 * (1 + t), in t's buffer
+        t += 1.0
+        t *= 0.5
+        t *= v
+        return _node(t, (x,), None, "gelu")
+    half_gate = t + 1.0
+    half_gate *= 0.5
+    # d = half_gate + 0.5 * v * (1 - t * t) * C * (1 + 3 * A * v_sq), evaluated left to right
+    t *= t
+    np.subtract(1.0, t, out=t)
+    v_sq *= 3.0 * _GELU_A
+    v_sq += 1.0
+    d = 0.5 * v
+    d *= t
+    d *= _GELU_C
+    d *= v_sq
+    d += half_gate
+    # d was half_gate's last reader, so its buffer takes the output
+    values = half_gate
+    values *= v
 
     def backprop(g):
         _accumulate(x, g * d, fresh=True)
@@ -377,20 +418,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     mu = np.add.reduce(x.values, axis=-1, keepdims=True) / n
     centred = x.values - mu
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
+    # the squares' buffer takes the output once var is summed
+    values = centred * centred
+    var = np.add.reduce(values, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
-    normed = centred * inv
-    values = normed * gain.values + bias.values
+    normed = centred
+    normed *= inv
+    np.multiply(normed, gain.values, out=values)
+    values += bias.values
 
     def backprop(g):
         _accumulate(gain, _unbroadcast(g * normed, gain.values.shape), fresh=True)
         # on 1-d input this is g itself
         _accumulate(bias, _unbroadcast(g, bias.values.shape))
         if x.requires_grad:
+            # gx = inv * (dn - s1 / n - normed * s2 / n), evaluated left to right
             dn = g * gain.values
             s1 = dn.sum(axis=-1, keepdims=True)
-            s2 = (dn * normed).sum(axis=-1, keepdims=True)
-            _accumulate(x, inv * (dn - s1 / n - normed * s2 / n), fresh=True)
+            gx = dn * normed
+            s2 = gx.sum(axis=-1, keepdims=True)
+            np.multiply(normed, s2, out=gx)
+            gx /= n
+            dn -= s1 / n
+            np.subtract(dn, gx, out=gx)
+            gx *= inv
+            _accumulate(x, gx, fresh=True)
 
     return _node(values, (x, gain, bias), backprop, "layer_norm")
 

@@ -292,6 +292,90 @@ def gelu_saving_temporaries(x: ag.Tensor) -> ag.Tensor:
     return ag._node(v * half_gate, (x,), backprop, "gelu")
 
 
+def scatter_rows_sorting_always(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """``autograd._scatter_rows`` in its earlier form, which sorted and reordered ``g`` for every index array.
+
+    The oracle for ``ag._scatter_rows``, which skips both for non-decreasing indices.
+    """
+    out = np.zeros((n_rows,) + g.shape[1:], dtype=g.dtype)
+    if idx.size == 0:
+        return out
+    order = np.argsort(idx, kind="stable")
+    ordered = idx[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    if starts.size == idx.size:
+        out[idx] = g
+    else:
+        out[ordered[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
+def pair_linear_out_of_place(x, rel, w, b, i_idx, j_idx, rel_idx) -> ag.Tensor:
+    """``ag.pair_linear`` in its earlier form, which summed the gathered tables and the x gradient out of place.
+
+    Its backward scattered with ``scatter_rows_sorting_always``. The oracle
+    for ``ag.pair_linear``, which sums both into one buffer.
+    """
+    i_idx, j_idx, rel_idx = (np.asarray(a, dtype=np.intp) for a in (i_idx, j_idx, rel_idx))
+    n, width = x.values.shape
+    rel_rows, ir = np.unique(rel_idx, return_inverse=True)
+    w_i, w_j, w_r = w.values[:width], w.values[width:2 * width], w.values[2 * width:]
+    h, e = x.values, rel.values[rel_rows]
+    a_tab, b_tab, p_tab = h @ w_i, h @ w_j, e @ w_r + b.values
+
+    def backprop(g):
+        g_a = scatter_rows_sorting_always(g, i_idx, n)
+        g_b = scatter_rows_sorting_always(g, j_idx, n)
+        g_p = scatter_rows_sorting_always(g, ir, rel_rows.size)
+        ag._accumulate(x, g_a @ w_i.T + g_b @ w_j.T, fresh=True)
+        grel = np.zeros_like(rel.values)
+        grel[rel_rows] = g_p @ w_r.T
+        ag._accumulate(rel, grel, fresh=True)
+        ag._accumulate(w, np.concatenate([h.T @ g_a, h.T @ g_b, e.T @ g_p]), fresh=True)
+        ag._accumulate(b, g.sum(axis=0), fresh=True)
+
+    return ag._node(a_tab[i_idx] + b_tab[j_idx] + p_tab[ir], (x, rel, w, b), backprop, "pair_linear")
+
+
+def row_softmax_out_of_place(x: ag.Tensor) -> ag.Tensor:
+    """The row_softmax op in its earlier form, whose backward built ``(g - inner) * out`` out of place.
+
+    The oracle for ``ag.row_softmax``.
+    """
+    out_values = x.values - x.values.max(axis=-1, keepdims=True)
+    np.exp(out_values, out=out_values)
+    out_values /= out_values.sum(axis=-1, keepdims=True)
+
+    def backprop(g):
+        inner = (g * out_values).sum(axis=-1, keepdims=True)
+        ag._accumulate(x, (g - inner) * out_values, fresh=True)
+
+    return ag._node(out_values, (x,), backprop, "row_softmax")
+
+
+def layer_norm_out_of_place(x: ag.Tensor, gain: ag.Tensor, bias: ag.Tensor) -> ag.Tensor:
+    """The layer_norm op in its earlier form, which built every intermediate in a new array.
+
+    The oracle for ``ag.layer_norm``, which computes in place.
+    """
+    n = x.values.shape[-1]
+    mu = np.add.reduce(x.values, axis=-1, keepdims=True) / n
+    centred = x.values - mu
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + ag._LAYER_NORM_EPS)
+    normed = centred * inv
+
+    def backprop(g):
+        ag._accumulate(gain, ag._unbroadcast(g * normed, gain.values.shape), fresh=True)
+        ag._accumulate(bias, ag._unbroadcast(g, bias.values.shape))
+        dn = g * gain.values
+        s1 = dn.sum(axis=-1, keepdims=True)
+        s2 = (dn * normed).sum(axis=-1, keepdims=True)
+        ag._accumulate(x, inv * (dn - s1 / n - normed * s2 / n), fresh=True)
+
+    return ag._node(normed * gain.values + bias.values, (x, gain, bias), backprop, "layer_norm")
+
+
 def dropout_with_float_mask(x: ag.Tensor, p: float, rng: np.random.Generator) -> ag.Tensor:
     """The training-mode dropout op in its earlier form, with a scaled float mask.
 

@@ -1,5 +1,7 @@
 import contextlib
+import inspect
 import math
+import re
 import weakref
 
 import numpy as np
@@ -9,8 +11,17 @@ from hypothesis import strategies as st
 
 from medrex import autograd as ag
 from medrex.optim import finite_diff_check
+from medrex.windowing import ordered_entity_pairs
 
-from .conftest import dropout_with_float_mask, gelu_saving_temporaries, total
+from .conftest import (
+    dropout_with_float_mask,
+    gelu_saving_temporaries,
+    layer_norm_out_of_place,
+    pair_linear_out_of_place,
+    row_softmax_out_of_place,
+    scatter_rows_sorting_always,
+    total,
+)
 
 
 def _param(rng, shape):
@@ -186,12 +197,14 @@ def test_linear_rejects_mismatched_shapes():
         ag.linear(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((3, 5))), ag.Tensor(np.ones(4)))
 
 
+# repeated pairs, a reversed pair and a shared distance row
+_PAIRS = ([0, 2, 2, 5, 0, 3], [2, 0, 0, 1, 2, 5], [6, 2, 2, 0, 6, 6])
+
+
 def _pair_inputs(rng):
     x, rel = _param(rng, (6, 3)), _param(rng, (9, 2))
     w, b = _param(rng, (2 * 3 + 2, 4)), _param(rng, (4,))
-    # repeated pairs, a reversed pair and a shared distance row
-    i_idx, j_idx, rel_idx = [0, 2, 2, 5, 0, 3], [2, 0, 0, 1, 2, 5], [6, 2, 2, 0, 6, 6]
-    return x, rel, w, b, i_idx, j_idx, rel_idx
+    return (x, rel, w, b, *_PAIRS)
 
 
 def test_pair_linear_equals_concat_then_linear():
@@ -230,16 +243,23 @@ def test_pair_linear_rejects_bad_shapes_and_indices():
 @given(
     st.integers(1, 12),
     st.lists(st.integers(0, 11), max_size=40),
+    st.booleans(),
+    st.booleans(),
     st.integers(0, 10_000),
 )
-def test_row_scatter_matches_add_at(n_rows, raw_idx, seed):
+def test_row_scatter_matches_add_at(n_rows, raw_idx, non_decreasing, column_slice, seed):
     idx = np.asarray([i % n_rows for i in raw_idx], dtype=np.intp)
-    g = np.random.default_rng(seed).standard_normal((idx.size, 3))
+    if non_decreasing:
+        idx = np.sort(idx)
+    g = np.random.default_rng(seed).standard_normal((idx.size, 5))
+    # a column slice is how concat hands a gather its gradient
+    g = g[:, 1:4] if column_slice else np.ascontiguousarray(g[:, :3])
     want = np.zeros((n_rows, 3))
     np.add.at(want, idx, g)
     got = ag._scatter_rows(g, idx, n_rows)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(got, ag._scatter_rows(g, idx, n_rows))
+    _assert_same_bits(got, scatter_rows_sorting_always(g, idx, n_rows))
 
 
 def test_softmax_gradcheck():
@@ -400,12 +420,17 @@ def _signed_inputs(dtype):
     return values.astype(dtype), weights.astype(dtype)
 
 
-def _value_and_input_gradient(op, values, weights):
-    x = ag.Tensor(values, requires_grad=True)
-    y = op(x)
+def _values_and_gradients(op, inputs, weights) -> list[np.ndarray]:
+    """``op``'s output over leaves holding ``inputs``, then each leaf's gradient of sum(output * weights)."""
+    leaves = [ag.Tensor(a, requires_grad=True) for a in inputs]
+    y = op(*leaves)
     out = y.values.copy()
     ag.backward(total(ag.mul(y, ag.Tensor(weights))))
-    return out, x.grad
+    return [out] + [leaf.grad for leaf in leaves]
+
+
+def _value_and_input_gradient(op, values, weights):
+    return tuple(_values_and_gradients(op, [values], weights))
 
 
 def _assert_same_bits(got, want):
@@ -435,6 +460,117 @@ def test_dropout_matches_its_earlier_form_bit_for_bit(compute, p):
     assert np.signbit(got[0][got[0] == 0]).any()
     for g, w in zip(got, want):
         _assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_row_softmax_matches_its_earlier_form_bit_for_bit(compute):
+    with compute():
+        values, weights = _signed_inputs(ag.compute_dtype())
+        got = _values_and_gradients(ag.row_softmax, [values], weights)
+        want = _values_and_gradients(row_softmax_out_of_place, [values], weights)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+def test_layer_norm_matches_its_earlier_form_bit_for_bit(compute):
+    with compute():
+        values, weights = _signed_inputs(ag.compute_dtype())
+        gain, bias = (1.0 + weights[2:4]).astype(values.dtype)
+        gain[:4] = [0.0, -0.0, 1.0, -1.0]
+        inputs = [values, gain, bias]
+        got = _values_and_gradients(ag.layer_norm, inputs, weights)
+        want = _values_and_gradients(layer_norm_out_of_place, inputs, weights)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+def _ordered_pairs(m: int) -> tuple[np.ndarray, ...]:
+    """The model's pair indices over m heads: i non-decreasing, distance rows of 9."""
+    i_idx, j_idx = np.asarray(ordered_entity_pairs(m), dtype=np.intp).T
+    return i_idx, j_idx, np.clip(j_idx - i_idx, -4, 4) + 4
+
+
+def _unsorted_pairs(m: int) -> tuple[np.ndarray, ...]:
+    """Unsorted pair indices with repeated pairs, a self pair and shared distance rows."""
+    rng = np.random.default_rng(26)
+    i_idx = np.concatenate([[4, 1, 4, 4, 0, 1, 5, 2], rng.integers(0, m, 30)])
+    j_idx = np.concatenate([[1, 4, 1, 1, 2, 4, 5, 0], rng.integers(0, m, 30)])
+    return i_idx, j_idx, rng.integers(0, 9, i_idx.size)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+@pytest.mark.parametrize("pairs", [_ordered_pairs, _unsorted_pairs])
+def test_pair_linear_matches_its_earlier_form_bit_for_bit(compute, pairs):
+    with compute():
+        dtype = ag.compute_dtype()
+        x, weights = _signed_inputs(dtype)
+        i_idx, j_idx, rel_idx = pairs(x.shape[0])
+        assert (np.diff(i_idx) >= 0).all() == (pairs is _ordered_pairs)
+        rng = np.random.default_rng(27)
+        rel, w, b = (rng.standard_normal(shape).astype(dtype) for shape in ((9, 8), (2 * 40 + 8, 16), (16,)))
+        w[::7, :3] = -0.0
+        out_weights = np.resize(weights, (i_idx.size, 16))
+        inputs = [x, rel, w, b]
+        got = _values_and_gradients(
+            lambda *t: ag.pair_linear(*t, i_idx, j_idx, rel_idx), inputs, out_weights)
+        want = _values_and_gradients(
+            lambda *t: pair_linear_out_of_place(*t, i_idx, j_idx, rel_idx), inputs, out_weights)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+_EVERY_OP = {
+    "add": ([(3, 4), (4,)], ag.add),
+    "mul": ([(3, 4), (3, 4)], ag.mul),
+    "matmul": ([(2, 3, 4), (2, 4, 2)], ag.matmul),
+    "concat": ([(3, 2), (3, 4)], lambda a, b: ag.concat([a, b])),
+    "linear": ([(3, 4), (4, 2), (2,)], ag.linear),
+    "gather_rows": ([(4, 3)], lambda x: ag.gather_rows(x, [3, 0, 3, 1])),
+    "pair_linear": ([(6, 3), (9, 2), (8, 4), (4,)], lambda x, rel, w, b: ag.pair_linear(x, rel, w, b, *_PAIRS)),
+    "row_softmax": ([(3, 4)], ag.row_softmax),
+    "gelu": ([(3, 4)], ag.gelu),
+    "layer_norm": ([(3, 4), (4,), (4,)], ag.layer_norm),
+    "dropout": ([(3, 4)], lambda x: ag.dropout(x, 0.3, np.random.default_rng(1), training=True)),
+    "cross_entropy": ([(3, 4)], lambda x: ag.cross_entropy(x, [0, 3, 1])),
+    "mean": ([(3, 4)], ag.reduce_mean),
+    "reshape": ([(3, 4)], lambda x: ag.reshape(x, (2, 6))),
+    "transpose": ([(2, 3, 4)], lambda x: ag.transpose(x, (1, 2, 0))),
+}
+
+
+def test_every_op_has_an_ownership_case():
+    assert set(re.findall(r'_node\(.*"(\w+)"\)', inspect.getsource(ag))) == set(_EVERY_OP)
+
+
+@pytest.mark.parametrize("compute", [contextlib.nullcontext, ag.float32_compute])
+@pytest.mark.parametrize("op", sorted(_EVERY_OP))
+def test_an_op_writes_into_no_input_no_handed_gradient_and_nothing_it_saved(compute, op):
+    shapes, build = _EVERY_OP[op]
+    with compute():
+        rng = np.random.default_rng(25)
+        leaves = [_param(rng, shape) for shape in shapes]
+        inputs = [leaf.values.copy() for leaf in leaves]
+        with ag.no_grad():
+            unrecorded = build(*leaves).values.copy()
+        out = build(*leaves)
+        values = out.values.copy()
+        g = np.asarray(rng.standard_normal(out.shape), dtype=ag.compute_dtype())
+        handed = g.copy()
+        # a backward that wrote into an array it saved would give another gradient the second time
+        gradients = []
+        for _ in range(2):
+            for leaf in leaves:
+                leaf.grad = None
+            out._backprop(g)
+            gradients.append([leaf.grad.copy() for leaf in leaves])
+    _assert_same_bits(values, unrecorded)
+    _assert_same_bits(out.values, values)
+    _assert_same_bits(g, handed)
+    for leaf, before in zip(leaves, inputs):
+        _assert_same_bits(leaf.values, before)
+    for first, second in zip(*gradients):
+        _assert_same_bits(first, second)
 
 
 def test_gelu_under_no_grad_records_nothing():
