@@ -53,6 +53,7 @@ ENV_PREFIX = "MEDREX_"
 
 EXIT_CODE_HELP = """exit codes:
   0  success
+  1  grad-check: analytic and numeric gradients disagree beyond --tol
   2  usage error (unknown flag, missing required argument)
   3  validation failure (standoff input, training data, model input) or
      non-finite values in a forward or backward pass (a diverging run)
@@ -398,6 +399,8 @@ def _cmd_grad_check(options: Options) -> int:
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
     tol = options.get("tol")
+    if not 0.0 < tol < float("inf"):
+        raise ConfigError(f"--tol must be positive and finite, got {tol}")
     seed = options.get("seed")
     if seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {seed}")

@@ -189,7 +189,7 @@ def _pairwise_terms(model: PairwiseREModel, config: TrainConfig):
     ))
 
 
-def _baseline_terms(model: BaselinePairModel):
+def _baseline_terms(model: BaselinePairModel, config: TrainConfig):
     """One loss term per ordered entity pair: the baseline re-encodes the segment for each."""
     def batch_terms(batch: list[EncodedSegment]):
         pairs = [
@@ -198,7 +198,7 @@ def _baseline_terms(model: BaselinePairModel):
             for (a, b), class_id in zip(ordered_entity_pairs(len(seg.entities)), seg.class_ids)
         ]
         return len(pairs), (
-            ag.reduce_mean(ag.cross_entropy(model.forward_pair(seg, a, b, train=True), [class_id]))
+            masked_loss(model.forward_pair(seg, a, b, train=True), (class_id,), config.null_class_weight)
             for seg, class_id, a, b in pairs
         )
 
@@ -328,29 +328,26 @@ def cost_report(
 ) -> CostReport:
     """Identical-epoch-budget training cost of the pairwise model vs the per-pair baseline.
 
-    Both models share the encoder configuration. Forward counts come from
-    instrumented counters; the analytic values are S segments per epoch for
-    the pairwise model and the sum of m*(m-1) over segments per epoch for the
-    baseline. Timings are single-threaded wall clock.
+    The pairwise side is ``train()``; the baseline takes its model config and
+    trains on the same segments through the same loop and loss, so
+    ``null_class_weight`` weights both. Forward counts come from instrumented
+    counters; the analytic values are S segments per epoch for the pairwise
+    model and the sum of m*(m-1) over segments per epoch for the baseline.
+    Timings are single-threaded wall clock.
     """
-    encoded, vocab, class_map, _ = _prepare_segments(corpus, schema, config)
-    model_config = _model_config(vocab, class_map, schema, config, encoded, model_overrides)
-
+    pairwise = train(corpus, schema, config, model_overrides)
+    encoded, _, _, _ = _prepare_segments(corpus, schema, config)
     pair_sum = sum(len(seg.entities) * (len(seg.entities) - 1) for seg in encoded)
-
-    pairwise = PairwiseREModel(model_config)
-    _, pairwise_epoch_seconds = _fit(pairwise, encoded, config, _pairwise_terms(pairwise, config))
-    baseline = BaselinePairModel(model_config)
-    _, baseline_epoch_seconds = _fit(baseline, encoded, config, _baseline_terms(baseline))
+    baseline = BaselinePairModel(pairwise.model.config)
+    _, baseline_epoch_seconds = _fit(baseline, encoded, config, _baseline_terms(baseline, config))
 
     return CostReport(
         segments=len(encoded),
         epochs=config.epochs,
-        pairwise_forwards=pairwise.encoder_forwards,
+        pairwise_forwards=pairwise.model.encoder_forwards,
         baseline_forwards=baseline.encoder_forwards,
         pairwise_forwards_analytic=len(encoded) * config.epochs,
         baseline_forwards_analytic=pair_sum * config.epochs,
-        pairwise_seconds=sum(pairwise_epoch_seconds),
+        pairwise_seconds=pairwise.total_seconds,
         baseline_seconds=sum(baseline_epoch_seconds),
     )
-

@@ -187,8 +187,8 @@ def segment_corpus(
     return all_segments, report
 
 
-def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Label id per token plus each entity's (first, last) token index span.
+def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[int, ...]:
+    """Label id per token, from the segment's entity spans.
 
     Label 0 is outside any entity; entity types follow in sorted order from 1.
     A token belongs to an entity when their character spans overlap; the
@@ -207,7 +207,7 @@ def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[tuple[int, ..
                 f"entities {segment.entities[k - 1].id} and {e.id} share a token; labels are ambiguous"
             )
         labels[first:last + 1] = [label_ids[e.etype]] * (last + 1 - first)
-    return tuple(labels), segment.entity_spans
+    return tuple(labels)
 
 
 class RelationClassMap:
@@ -290,7 +290,7 @@ class Vocabulary:
     def build(cls, docs: list[Document]) -> "Vocabulary":
         counts: Counter[str] = Counter()
         for doc in docs:
-            counts.update(_TOKEN_RE.findall(doc.text))
+            counts.update(TokenTable.of(doc.text).surfaces)
         ordered = sorted(counts, key=lambda s: (-counts[s], s))
         return cls(list(SPECIAL_TOKENS) + ordered)
 
@@ -311,11 +311,10 @@ def encode_segment(
     relations: list[Relation] | tuple[Relation, ...],
     class_map: RelationClassMap,
 ) -> EncodedSegment:
-    labels, spans = align_labels(segment, schema)
     return EncodedSegment(
         token_ids=tuple(vocab.id_for(surface) for surface in segment.tokens),
-        label_ids=labels,
+        label_ids=align_labels(segment, schema),
         entities=segment.entities,
-        entity_spans=spans,
+        entity_spans=segment.entity_spans,
         class_ids=pair_class_ids(segment, relations, class_map),
     )

@@ -639,15 +639,22 @@ def pairwise_batch_loss(model, config):
     ])
 
 
-def baseline_batch_loss(model):
-    """A batch's whole baseline loss as one graph: every ordered pair's term, summed, then scaled."""
+def baseline_batch_loss(model, config):
+    """A batch's whole baseline loss as one graph: every ordered pair's term, summed, then scaled.
+
+    A pair's term is its unweighted cross entropy, times ``config.null_class_weight``
+    when the pair holds no relation.
+    """
     def batch_loss(batch):
         pair_losses = []
         for seg in batch:
             for row, (a, b) in enumerate(ordered_entity_pairs(len(seg.entities))):
                 logits = model.forward_pair(seg, a, b, train=True)
                 target = np.asarray([seg.class_ids[row]], dtype=np.intp)
-                pair_losses.append(ag.reduce_mean(ag.cross_entropy(logits, target)))
+                loss = ag.reduce_mean(ag.cross_entropy(logits, target))
+                if seg.class_ids[row] == 0:
+                    loss = ag.mul(loss, config.null_class_weight)
+                pair_losses.append(loss)
         return _mean_loss(pair_losses)
 
     return batch_loss

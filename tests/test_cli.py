@@ -80,6 +80,9 @@ def test_train_outputs_and_run_log(workspace):
 def test_train_determinism_via_subprocess(tmp_path, workspace):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "0"
+    # the child imports this checkout's medrex, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
@@ -420,6 +423,19 @@ def test_grad_check_samples_below_one_exit_6(samples, capsys):
     assert run_cli(["grad-check", "--preset", "small", "--samples", samples]) == 6
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "config" and "--samples" in error["message"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_grad_check_tol_not_positive_and_finite_exit_6(tol, capsys):
+    assert run_cli(["grad-check", "--preset", "small", "--samples", 2, "--tol", tol]) == 6
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "--tol" in error["message"]
+
+
+def test_grad_check_beyond_tol_exits_1_as_the_help_says(capsys):
+    assert run_cli(["grad-check", "--preset", "small", "--samples", 2, "--tol", "1e-30"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert re.search(r"^  1  grad-check: .* beyond --tol$", build_parser().format_help(), re.M)
 
 
 def test_generate_negative_seed_exits_3_and_writes_nothing(tmp_path, capsys):

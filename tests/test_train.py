@@ -35,7 +35,7 @@ from medrex.train import (
     save_bundle,
     train,
 )
-from medrex.windowing import RelationClassMap, Vocabulary, WindowReport
+from medrex.windowing import RelationClassMap, Vocabulary, WindowReport, ordered_entity_pairs
 
 from .conftest import (
     accumulate_copying_every_first_gradient,
@@ -372,7 +372,7 @@ def _per_term_and_whole_batch(model_class, encoded, model_config, config, oracle
     """Train two fresh models alike: one with ``_fit``, one with the whole-batch oracle loop."""
     terms, batch_loss = {
         PairwiseREModel: (lambda m: _pairwise_terms(m, config), lambda m: pairwise_batch_loss(m, config)),
-        BaselinePairModel: (_baseline_terms, baseline_batch_loss),
+        BaselinePairModel: (lambda m: _baseline_terms(m, config), lambda m: baseline_batch_loss(m, config)),
     }[model_class]
     with ag.float32_compute():
         model = model_class(model_config)
@@ -408,13 +408,36 @@ def test_per_segment_backward_matches_the_whole_batch_graph_at_batch_size_one(sm
     assert got == want
 
 
-def test_per_pair_backward_matches_the_whole_batch_graph_for_the_baseline(small_corpus):
-    config = TrainConfig(epochs=1, seed=2, batch_size=2, peak_lr=1e-3)
+@pytest.mark.parametrize("null_class_weight", [1.0, 0.5])
+def test_per_pair_backward_matches_the_whole_batch_graph_for_the_baseline(small_corpus, null_class_weight):
+    config = TrainConfig(epochs=1, seed=2, batch_size=2, peak_lr=1e-3, null_class_weight=null_class_weight)
     encoded, model_config = _segments_and_model_config(small_corpus, config)
     got, want = _per_term_and_whole_batch(
         BaselinePairModel, encoded[:3], model_config, config, accumulate_copying_every_first_gradient)
     assert len(got["run_log"]) == 2
     assert got == want
+
+
+def test_a_baseline_term_weights_a_null_class_pair_as_masked_loss_does(small_corpus):
+    config = TrainConfig(epochs=1, seed=5, null_class_weight=0.3)
+    encoded, model_config = _segments_and_model_config(small_corpus, config)
+    seg = min((s for s in encoded if 0 in s.class_ids and any(s.class_ids)), key=lambda s: len(s.class_ids))
+    pairs = ordered_entity_pairs(len(seg.entities))
+    with ag.float32_compute():
+        # two models from one config draw the same dropout masks, pair by pair
+        n_terms, terms = _baseline_terms(BaselinePairModel(model_config), config)([seg])
+        got = [term.values for term in terms]
+        oracle = BaselinePairModel(model_config)
+        unweighted = [
+            ag.reduce_mean(ag.cross_entropy(oracle.forward_pair(seg, a, b, train=True), [class_id])).values
+            for (a, b), class_id in zip(pairs, seg.class_ids)
+        ]
+    assert n_terms == len(got) == len(unweighted) == len(pairs)
+    for term, plain, class_id in zip(got, unweighted, seg.class_ids):
+        weight = np.float32(0.3 if class_id == 0 else 1.0)
+        assert term.dtype == plain.dtype == np.float32
+        assert term.tobytes() == (plain * weight).tobytes(), class_id
+    assert any(term != plain for term, plain in zip(got, unweighted))
 
 
 @settings(max_examples=8, deadline=None)

@@ -123,21 +123,21 @@ def test_align_labels_basic():
     text = "tocilizumab IV"
     doc = _doc_with(text, [("Drug", 0, 11), ("Route", 12, 14)])
     seg = make_segments(doc, 300, 150)[0]
-    labels, spans = align_labels(seg, CORP_HUS)
+    labels = align_labels(seg, CORP_HUS)
     # 0 is outside; CORP_HUS types in sorted order from 1: ..., Drug 5, ..., Route 10
     assert labels == (5, 10)
-    assert spans == ((0, 0), (1, 1))
+    assert seg.entity_spans == ((0, 0), (1, 1))
 
 
 def test_align_labels_multi_token_entity():
     text = "every 4 weeks from July"
     doc = _doc_with(text, [("Frequency", 0, 13), ("Date", 19, 23)])
     seg = make_segments(doc, 300, 150)[0]
-    labels, spans = align_labels(seg, CORP_HUS)
+    labels = align_labels(seg, CORP_HUS)
     freq_id = 8  # CORP_HUS types in sorted order from 1
     assert labels[:3] == (freq_id, freq_id, freq_id)
     assert labels[3] == 0  # "from" stays outside
-    assert spans[0] == (0, 2)
+    assert seg.entity_spans[0] == (0, 2)
 
 
 def test_align_labels_rejects_overlap():
