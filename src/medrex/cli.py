@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError
 from .evaluate import EvalReport, evaluate, format_report, predictions_to_relations
-from .frames import augment_document, build_frames, frames_to_jsonl
+from .frames import augment_document, frames_to_jsonl
 from .model import ModelConfig, ModelError, PredictedRelation, grad_check_fixture, masked_loss
 from .optim import finite_diff_check
-from .schema import SchemaError, UnknownProfileError, read_key_value_file, resolve_profile
+from .schema import BUILTIN_PROFILES, SchemaError, UnknownProfileError, read_key_value_file, resolve_profile
 from .standoff import Document, StandoffError, entity_json, read_corpus_dir, write_corpus_dir
 from .stats import corpus_stats
 from .synth import GenConfig, GenerationError, generate_corpus
@@ -55,12 +55,14 @@ EXIT_CODE_HELP = """exit codes:
   0  success
   1  grad-check: analytic and numeric gradients disagree beyond --tol
   2  usage error (unknown flag, missing required argument)
-  3  validation failure (standoff input, training data, model input) or
-     non-finite values in a forward or backward pass (a diverging run)
+  3  validation failure (standoff input, training data, model input, a model
+     too large to allocate) or non-finite values in a forward or backward
+     pass (a diverging run)
   4  missing path, missing companion file, or a path of the wrong kind
      (a file where a directory is expected, or the reverse)
   5  unknown schema profile
-  6  configuration error (config file, checkpoint format, type errors)
+  6  configuration error (config file, checkpoint format, type errors, an
+     --out that names an input directory)
 """
 
 
@@ -124,6 +126,21 @@ class Options:
                 raise ConfigError(f"{self.args.subcommand} needs {self.spec[name].flag}")
             return None
         return value if os.path.isabs(value) else os.path.join(workdir, value)
+
+    def profile(self) -> str:
+        """--schema as ``resolve_profile`` reads it: a built-in profile name, else a path resolved as ``path`` does."""
+        name = self.get("schema")
+        return name if name in BUILTIN_PROFILES else self.path("schema")
+
+    def out_apart_from(self, *inputs: str) -> str:
+        """The required --out path; one that names the directory of an ``inputs`` option raises ConfigError."""
+        out = self.path("out", required=True)
+        for name in inputs:
+            if os.path.realpath(out) == os.path.realpath(self.path(name, required=True)):
+                raise ConfigError(
+                    f"--out and {self.spec[name].flag} name the same directory {out}; a run never writes over its input"
+                )
+        return out
 
 
 def _write_json(path: str, payload) -> None:
@@ -216,7 +233,7 @@ def _cmd_generate(options: Options) -> int:
     cfg = GenConfig(
         seed=options.get("seed"),
         doc_count=options.get("docs"),
-        schema_name=options.get("schema"),
+        schema_name=options.profile(),
         multi_frame_rate=options.get("multi_frame_rate"),
         context_relation_rate=options.get("context_relation_rate"),
         filler_rate=options.get("filler_rate"),
@@ -235,7 +252,7 @@ def _cmd_generate(options: Options) -> int:
 
 def _cmd_stats(options: Options) -> int:
     data = options.path("data", required=True)
-    schema = resolve_profile(options.get("schema"))
+    schema = resolve_profile(options.profile())
     docs = read_corpus_dir(data, schema, strict=not options.get("lax"))
     payload = corpus_stats(docs, schema).to_dict()
     print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
@@ -244,21 +261,17 @@ def _cmd_stats(options: Options) -> int:
 
 def _cmd_convert_frames(options: Options) -> int:
     data = options.path("data", required=True)
-    out = options.path("out")
     mode = options.get("mode")
-    schema = resolve_profile(options.get("schema"))
+    out = options.out_apart_from("data") if mode == "add-same-frame" else options.path("out")
+    schema = resolve_profile(options.profile())
     docs = read_corpus_dir(data, schema)
     if mode == "add-same-frame":
-        if out is None:
-            raise ConfigError("convert-frames --mode add-same-frame needs --out")
         augmented = [augment_document(d, schema) for d in docs]
         write_corpus_dir(augmented, out)
         _write_manifest(out, options, [data], _corpus_files(out, augmented))
         print(f"wrote {len(augmented)} augmented documents to {out}")
     else:
-        lines = []
-        for doc in docs:
-            lines.extend(frames_to_jsonl(doc, build_frames(doc, schema)))
+        lines = frames_to_jsonl(docs, schema)
         if out is None:
             for line in lines:
                 print(line)
@@ -293,7 +306,7 @@ def _model_overrides_from(options: Options) -> dict | None:
 def _cmd_train(options: Options) -> int:
     data = options.path("data", required=True)
     out = options.path("out", required=True)
-    schema = resolve_profile(options.get("schema"))
+    schema = resolve_profile(options.profile())
     config = _train_config_from(options)
     overrides = _model_overrides_from(options)
     docs = read_corpus_dir(data, schema)
@@ -315,7 +328,7 @@ def _cmd_train(options: Options) -> int:
 
 def _cmd_predict(options: Options) -> int:
     data = options.path("data", required=True)
-    out = options.path("out", required=True)
+    out = options.out_apart_from("data")
     ckpt = options.path("ckpt", required=True)
     strict = options.get("label_source") == "gold"  # provided entity files parse laxly
     bundle = load_bundle(ckpt)
@@ -332,7 +345,7 @@ def _cmd_evaluate(options: Options) -> int:
     pred_dir = options.path("pred", required=True)
     out = options.path("out")
     mode = options.get("mode")
-    schema = resolve_profile(options.get("schema"))
+    schema = resolve_profile(options.profile())
     gold_docs = read_corpus_dir(gold_dir, schema, strict=True)
     predictions: dict[str, list[PredictedRelation]] = {}
     for pred_doc in _gold_counterparts(pred_dir, gold_docs, schema, "--pred"):
@@ -351,16 +364,15 @@ def _cmd_evaluate(options: Options) -> int:
 def _cmd_end_to_end(options: Options) -> int:
     data = options.path("data", required=True)
     gold_dir = options.path("gold", required=True)
-    out = options.path("out", required=True)
+    out = options.out_apart_from("data", "gold")
     ckpt = options.path("ckpt", required=True)
     bundle = load_bundle(ckpt)
     gold_docs = read_corpus_dir(gold_dir, bundle.schema, strict=True)
     docs = _gold_counterparts(data, gold_docs, bundle.schema, "--data")
     predictions = bundle.predict_corpus(docs)
     pred_docs, outputs = _write_prediction_dir(out, docs, predictions)
-    frame_lines = [line for doc in pred_docs for line in frames_to_jsonl(doc, build_frames(doc, bundle.schema))]
     frames_path = os.path.join(out, "frames.jsonl")
-    _write_lines(frames_path, frame_lines)
+    _write_lines(frames_path, frames_to_jsonl(pred_docs, bundle.schema))
     reports = {mode: evaluate(gold_docs, predictions, mode, bundle.schema) for mode in ("strict", "lenient")}
     outputs += [frames_path, *_emit_reports(out, reports)]
     _write_manifest(out, options, [data, gold_dir, ckpt], outputs)
@@ -370,7 +382,7 @@ def _cmd_end_to_end(options: Options) -> int:
 def _cmd_cost_report(options: Options) -> int:
     data = options.path("data", required=True)
     out = options.path("out")
-    schema = resolve_profile(options.get("schema"))
+    schema = resolve_profile(options.profile())
     config = _train_config_from(options)
     overrides = _model_overrides_from(options)
     docs = read_corpus_dir(data, schema)

@@ -27,6 +27,10 @@ class EvaluationError(ValueError):
     """Malformed evaluation inputs."""
 
 
+def _unknown_mode(mode: str) -> EvaluationError:
+    return EvaluationError(f"unknown matching mode {mode!r} (use {STRICT!r} or {LENIENT!r})")
+
+
 def entities_match(predicted: Entity, gold: Entity, mode: str) -> bool:
     if predicted.etype != gold.etype:
         return False
@@ -34,7 +38,7 @@ def entities_match(predicted: Entity, gold: Entity, mode: str) -> bool:
         return predicted.start == gold.start and predicted.end == gold.end
     if mode == LENIENT:
         return predicted.start < gold.end and gold.start < predicted.end
-    raise EvaluationError(f"unknown matching mode {mode!r} (use {STRICT!r} or {LENIENT!r})")
+    raise _unknown_mode(mode)
 
 
 def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
@@ -135,8 +139,11 @@ def evaluate(
 
     Only the schema's annotated relation inventory is scored; SAME_FRAME
     edges are synthesized auxiliaries and never count. Matching respects
-    ``mode`` for both endpoints of a relation.
+    ``mode`` for both endpoints of a relation; an unknown mode raises
+    EvaluationError before any scoring.
     """
+    if mode not in (STRICT, LENIENT):
+        raise _unknown_mode(mode)
     tallies: dict[str, EvalRow] = {}
 
     def row(rtype: str) -> EvalRow:
@@ -210,12 +217,7 @@ def frame_exact_match(
     exact = 0
     for doc in gold_docs:
         gold_shape = _frame_shape(build_frames(doc, schema))
-        decoded = decode_frames(
-            list(doc.entities),
-            predictions_to_relations(predictions.get(doc.doc_id, [])),
-            schema,
-            doc_id=doc.doc_id,
-        )
+        decoded = decode_frames(list(doc.entities), predictions_to_relations(predictions.get(doc.doc_id, [])), schema)
         pred_shape = _frame_shape(decoded)
         for drug, gold_frames in gold_shape.items():
             total += 1

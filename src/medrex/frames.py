@@ -35,7 +35,6 @@ class Frame:
 
 @dataclass(frozen=True)
 class FrameSet:
-    doc_id: str
     frames: tuple[Frame, ...]
 
     def multi_frame_drugs(self) -> set[str]:
@@ -96,7 +95,6 @@ def decode_frames(
     entities: list[Entity] | tuple[Entity, ...],
     relations: list[Relation] | tuple[Relation, ...],
     schema: SchemaProfile,
-    doc_id: str = "pred",
 ) -> FrameSet:
     """Group each drug's attributes into frames from the given (gold or predicted) relations.
 
@@ -124,7 +122,7 @@ def decode_frames(
         if r.rtype == SAME_FRAME and r.source != r.target
     }
 
-    return FrameSet(doc_id, tuple(
+    return FrameSet(tuple(
         frame
         for drug in ordered if drug.etype in schema.drug_types
         for frame in _frames_for_drug(drug, links[drug.id], attr_order, same_frame_pairs)
@@ -133,7 +131,7 @@ def decode_frames(
 
 def build_frames(doc: Document, schema: SchemaProfile) -> FrameSet:
     """Group each drug's attributes into frames using the document's SAME_FRAME edges."""
-    return decode_frames(doc.entities, doc.relations, schema, doc.doc_id)
+    return decode_frames(doc.entities, doc.relations, schema)
 
 
 def with_same_frame(doc: Document, frames: Iterable[Frame]) -> Document:
@@ -158,15 +156,16 @@ def augment_document(doc: Document, schema: SchemaProfile) -> Document:
     return with_same_frame(doc, build_frames(doc, schema).frames)
 
 
-def frames_to_jsonl(doc: Document, fs: FrameSet) -> list[str]:
-    """One JSON object per frame, with resolved entity spans."""
-    by_id = doc.entity_index()
+def frames_to_jsonl(docs: Iterable[Document], schema: SchemaProfile) -> list[str]:
+    """One JSON object per frame of each document (``build_frames``), with resolved entity spans."""
     lines = []
-    for frame in fs.frames:
-        payload = {
-            "doc_id": fs.doc_id,
-            "drug": entity_json(by_id[frame.drug]),
-            "links": [{**entity_json(by_id[attr]), "relation": rtype} for attr, rtype in frame.links],
-        }
-        lines.append(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+    for doc in docs:
+        by_id = doc.entity_index()
+        for frame in build_frames(doc, schema).frames:
+            payload = {
+                "doc_id": doc.doc_id,
+                "drug": entity_json(by_id[frame.drug]),
+                "links": [{**entity_json(by_id[attr]), "relation": rtype} for attr, rtype in frame.links],
+            }
+            lines.append(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return lines

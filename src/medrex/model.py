@@ -40,7 +40,6 @@ from .windowing import (
     MARKER_TOKENS,
     SPECIAL_TOKENS,
     EncodedSegment,
-    RelationClassMap,
     TokenTable,
     Vocabulary,
     admit_entities,
@@ -123,25 +122,33 @@ class ModelConfig:
         return cls(**payload)
 
 
+def _add_param(store: ParamStore, name: str, shape: tuple[int, ...], draw) -> None:
+    """Register ``draw(shape)`` as the parameter ``name``; a shape numpy cannot hold or allocate raises ModelError."""
+    try:
+        store.add(name, draw(shape))
+    except (ValueError, MemoryError) as exc:
+        raise ModelError(f"parameter {name!r} of shape {shape}: {exc}") from None
+
+
 def _init_matrix(store: ParamStore, rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> None:
-    store.add(name, rng.normal(0.0, 0.02, size=shape))
+    _add_param(store, name, shape, lambda size: rng.normal(0.0, 0.02, size=size))
 
 
 def _init_linear(store: ParamStore, rng: np.random.Generator, name: str, n_in: int, n_out: int) -> None:
     _init_matrix(store, rng, f"{name}.w", (n_in, n_out))
-    store.add(f"{name}.b", np.zeros(n_out))
+    _add_param(store, f"{name}.b", (n_out,), np.zeros)
 
 
 def _init_layer_norm(store: ParamStore, name: str, width: int) -> None:
-    store.add(f"{name}.gain", np.ones(width))
-    store.add(f"{name}.bias", np.zeros(width))
+    _add_param(store, f"{name}.gain", (width,), np.ones)
+    _add_param(store, f"{name}.bias", (width,), np.zeros)
 
 
 def _init_attention(store: ParamStore, rng: np.random.Generator, name: str, width: int) -> None:
     for part in ("wq", "wk", "wv", "wo"):
         _init_matrix(store, rng, f"{name}.{part}", (width, width))
     for part in ("bq", "bk", "bv", "bo"):
-        store.add(f"{name}.{part}", np.zeros(width))
+        _add_param(store, f"{name}.{part}", (width,), np.zeros)
 
 
 def _self_attention(
@@ -314,28 +321,19 @@ class BaselinePairModel:
         source_span: tuple[int, int],
         target_span: tuple[int, int],
     ) -> tuple[list[int], list[int]]:
-        """Copy the token stream with markers around the two entity token spans."""
+        """Copy the token stream with markers around the two entity token spans, and the markers' positions."""
         (a1, a2), (b1, b2) = source_span, target_span
         if not (a2 < b1 or b2 < a1):
             raise ModelError(f"entity token spans {source_span} and {target_span} overlap; markers would nest")
-        out: list[int] = []
-        positions: dict[int, int] = {}
-        for idx, token in enumerate(token_ids):
-            if idx == a1:
-                positions[E1_OPEN_ID] = len(out)
-                out.append(E1_OPEN_ID)
-            if idx == b1:
-                positions[E2_OPEN_ID] = len(out)
-                out.append(E2_OPEN_ID)
-            out.append(token)
-            if idx == a2:
-                positions[E1_CLOSE_ID] = len(out)
-                out.append(E1_CLOSE_ID)
-            if idx == b2:
-                positions[E2_CLOSE_ID] = len(out)
-                out.append(E2_CLOSE_ID)
-        marker_positions = [positions[m] for m in (E1_OPEN_ID, E1_CLOSE_ID, E2_OPEN_ID, E2_CLOSE_ID)]
-        return out, marker_positions
+        # each marker cuts the stream at a point, before a first token or after a last one; where
+        # one entity closes and the other opens at one point, the close (0) sorts before the open (1)
+        cuts = [(a1, 1, E1_OPEN_ID), (a2 + 1, 0, E1_CLOSE_ID), (b1, 1, E2_OPEN_ID), (b2 + 1, 0, E2_CLOSE_ID)]
+        ordered = sorted(cuts)
+        stops = [point for point, _, _ in ordered[1:]] + [len(token_ids)]
+        out = list(token_ids[:ordered[0][0]])
+        for (point, _, marker), stop in zip(ordered, stops):
+            out += (marker, *token_ids[point:stop])
+        return out, [cut[0] + ordered.index(cut) for cut in cuts]
 
     def forward_pair(
         self,
@@ -369,7 +367,7 @@ class InferenceBundle:
 
     model: PairwiseREModel
     vocab: Vocabulary
-    class_map: RelationClassMap
+    class_map: tuple[str, ...]  # relation class names by class id (relation_classes)
     schema: SchemaProfile
     window_chars: int
     stride_chars: int
@@ -418,7 +416,7 @@ class InferenceBundle:
                 key = (encoded.entities[a].id, encoded.entities[b].id)
                 class_id, prob = int(class_ids[row]), float(top[row])
                 if key not in best or prob > best[key][0]:
-                    best[key] = (prob, self.class_map.name_for(class_id))
+                    best[key] = (prob, self.class_map[class_id])
         predictions = [
             PredictedRelation(rtype, entity_by_id[src], entity_by_id[tgt], prob)
             for (src, tgt), (prob, rtype) in best.items()

@@ -363,7 +363,7 @@ def _generate_document(index: int, cfg: GenConfig, schema: SchemaProfile) -> Doc
     text = "\n".join(chunks) + ("\n" if chunks else "")
 
     doc = Document(f"doc{index:04d}", text, tuple(entities), tuple(relations))
-    multi = FrameSet(doc.doc_id, tuple(frames)).multi_frame_drugs()
+    multi = FrameSet(tuple(frames)).multi_frame_drugs()
     return with_same_frame(doc, [f for f in frames if f.drug in multi])
 
 def generate_corpus(cfg: GenConfig) -> list[Document]:

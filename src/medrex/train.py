@@ -30,15 +30,15 @@ from .model import (
     masked_loss,
 )
 from .optim import adam_step, lr_at
-from .schema import SchemaProfile
+from .schema import SAME_FRAME, SchemaProfile
 from .standoff import Document, validate_document
 from .windowing import (
     EncodedSegment,
-    RelationClassMap,
     Vocabulary,
     WindowReport,
     encode_segment,
     ordered_entity_pairs,
+    relation_classes,
     segment_corpus,
 )
 
@@ -99,14 +99,14 @@ def _prepare_segments(
     corpus: list[Document],
     schema: SchemaProfile,
     config: TrainConfig,
-) -> tuple[list[EncodedSegment], Vocabulary, RelationClassMap, WindowReport]:
+) -> tuple[list[EncodedSegment], Vocabulary, tuple[str, ...], WindowReport]:
     for doc in corpus:
         violations = validate_document(doc, schema)
         if violations:
             raise TrainingError(f"document {doc.doc_id} fails validation: {violations[0]}")
     docs = [augment_document(d, schema) for d in corpus] if config.frame_augmentation else list(corpus)
     vocab = Vocabulary.build(docs)
-    class_map = RelationClassMap(schema, include_same_frame=config.frame_augmentation)
+    class_map = relation_classes(schema, config.frame_augmentation)
     segments, report = segment_corpus(docs, config.window_chars, config.stride_chars)
     relations_by_doc = {d.doc_id: d.relations for d in docs}
     encoded = [
@@ -120,7 +120,7 @@ def _prepare_segments(
 
 def _model_config(
     vocab: Vocabulary,
-    class_map: RelationClassMap,
+    class_map: tuple[str, ...],
     schema: SchemaProfile,
     config: TrainConfig,
     encoded: list[EncodedSegment],
@@ -236,7 +236,7 @@ def save_bundle(path: str, result: TrainResult) -> None:
         "model": result.model.config.to_dict(),
         "schema": result.schema.to_dict(),
         "vocab": result.vocab.tokens,
-        "include_same_frame": result.class_map.include_same_frame,
+        "include_same_frame": SAME_FRAME in result.class_map,
         "window_chars": result.window_chars,
         "stride_chars": result.stride_chars,
         "train": result.train_config.to_dict(),
@@ -275,7 +275,7 @@ def load_bundle(path: str) -> InferenceBundle:
         bundle = InferenceBundle(
             model=PairwiseREModel(ModelConfig.from_dict(config["model"])),
             vocab=vocab,
-            class_map=RelationClassMap(schema, include_same_frame=same_frame),
+            class_map=relation_classes(schema, same_frame),
             schema=schema,
             window_chars=window_chars,
             stride_chars=stride_chars,

@@ -210,27 +210,9 @@ def align_labels(segment: Segment, schema: SchemaProfile) -> tuple[int, ...]:
     return tuple(labels)
 
 
-class RelationClassMap:
-    """Class ids for pair classification: 0 = no relation, then sorted types."""
-
-    def __init__(self, schema: SchemaProfile, include_same_frame: bool = False):
-        self.names = [NULL_REL] + schema.relation_type_list()
-        if include_same_frame:
-            self.names.append(SAME_FRAME)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.include_same_frame = include_same_frame
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __contains__(self, rtype: str) -> bool:
-        return rtype in self.index
-
-    def id_for(self, rtype: str) -> int:
-        return self.index[rtype]
-
-    def name_for(self, class_id: int) -> str:
-        return self.names[class_id]
+def relation_classes(schema: SchemaProfile, include_same_frame: bool) -> tuple[str, ...]:
+    """Pair class names by class id: 0 = no relation, then sorted types, then SAME_FRAME if included."""
+    return (NULL_REL, *schema.relation_type_list(), *((SAME_FRAME,) if include_same_frame else ()))
 
 
 def ordered_entity_pairs(n_entities: int) -> list[tuple[int, int]]:
@@ -240,13 +222,14 @@ def ordered_entity_pairs(n_entities: int) -> list[tuple[int, int]]:
 def pair_class_ids(
     segment: Segment,
     gold_relations: list[Relation] | tuple[Relation, ...],
-    class_map: RelationClassMap,
+    class_map: tuple[str, ...],
 ) -> tuple[int, ...]:
     """One class id per ordered entity pair, in ``ordered_entity_pairs`` order (m*(m-1) in total).
 
     The class comes from the unique gold relation on that ordered entity pair;
-    pairs without one get the null class 0. Relations whose type the class map
-    does not know (SAME_FRAME while frame augmentation is off) are ignored.
+    pairs without one get the null class 0; a class id indexes ``class_map``
+    (``relation_classes``). Relations of a type not in it (SAME_FRAME while
+    frame augmentation is off) are ignored.
     Two gold relations of different types on one ordered pair are a corpus
     inconsistency and raise.
     """
@@ -265,7 +248,7 @@ def pair_class_ids(
                 )
             gold[key] = r.rtype
     return tuple(
-        class_map.id_for(gold[pair]) if pair in gold else 0
+        class_map.index(gold[pair]) if pair in gold else 0
         for pair in ordered_entity_pairs(len(segment.entities))
     )
 
@@ -309,7 +292,7 @@ def encode_segment(
     vocab: Vocabulary,
     schema: SchemaProfile,
     relations: list[Relation] | tuple[Relation, ...],
-    class_map: RelationClassMap,
+    class_map: tuple[str, ...],
 ) -> EncodedSegment:
     return EncodedSegment(
         token_ids=tuple(vocab.id_for(surface) for surface in segment.tokens),

@@ -18,7 +18,7 @@ import pytest
 
 from medrex import autograd as ag
 from medrex.frames import Frame, FrameSet
-from medrex.model import ModelError, PredictedRelation, masked_loss
+from medrex.model import E1_CLOSE_ID, E1_OPEN_ID, E2_CLOSE_ID, E2_OPEN_ID, ModelError, PredictedRelation, masked_loss
 from medrex.optim import adam_step, lr_at
 from medrex.schema import CORP_HUS, OTHER_TYPE, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
@@ -115,7 +115,7 @@ def random_frame_instance(rng: random.Random):
                 for _ in range(rng.randint(1, 5))
             )
             frames.append(Frame(drug, links))
-    return entities, FrameSet("synthetic", tuple(frames))
+    return entities, FrameSet(tuple(frames))
 
 
 def normalize_frameset(fs: FrameSet):
@@ -411,6 +411,31 @@ def self_attention_with_two_key_transposes(store, name, queries, x, heads, dropo
     return ag.linear(merged, store[f"{name}.wo"], store[f"{name}.bo"])
 
 
+def marker_sequence_by_token_scan(token_ids, source_span, target_span) -> tuple[list[int], list[int]]:
+    """``BaselinePairModel.marker_sequence`` in its earlier form: one pass over the tokens, four tests per token.
+
+    The oracle for the sort-and-slice form; it assumes spans that do not overlap.
+    """
+    (a1, a2), (b1, b2) = source_span, target_span
+    out: list[int] = []
+    positions: dict[int, int] = {}
+    for idx, token in enumerate(token_ids):
+        if idx == a1:
+            positions[E1_OPEN_ID] = len(out)
+            out.append(E1_OPEN_ID)
+        if idx == b1:
+            positions[E2_OPEN_ID] = len(out)
+            out.append(E2_OPEN_ID)
+        out.append(token)
+        if idx == a2:
+            positions[E1_CLOSE_ID] = len(out)
+            out.append(E1_CLOSE_ID)
+        if idx == b2:
+            positions[E2_CLOSE_ID] = len(out)
+            out.append(E2_CLOSE_ID)
+    return out, [positions[m] for m in (E1_OPEN_ID, E1_CLOSE_ID, E2_OPEN_ID, E2_CLOSE_ID)]
+
+
 def unweighted_masked_loss(logits: ag.Tensor, class_ids) -> ag.Tensor:
     """``model.masked_loss`` in its earlier form at null-class weight 1, which skipped the weight multiply.
 
@@ -448,7 +473,7 @@ def build_pair_targets(segment, gold_relations, class_map, entity_spans) -> tupl
     targets = []
     for a, b in ordered_entity_pairs(len(segment.entities)):
         rtype = gold.get((a, b))
-        class_id = class_map.id_for(rtype) if rtype is not None else 0
+        class_id = class_map.index(rtype) if rtype is not None else 0
         targets.append(PairTarget(entity_spans[a][0], entity_spans[b][0], class_id))
     return tuple(targets)
 
@@ -587,7 +612,7 @@ def predict_relations(model, doc, schema, vocab, class_map, window_chars, stride
             key = (encoded.entities[a].id, encoded.entities[b].id)
             class_id, prob = int(class_ids[row]), float(top[row])
             if key not in best or prob > best[key][0]:
-                best[key] = (prob, class_map.name_for(class_id))
+                best[key] = (prob, class_map[class_id])
     predictions = [
         PredictedRelation(rtype, entity_by_id[src], entity_by_id[tgt], prob)
         for (src, tgt), (prob, rtype) in best.items()

@@ -14,7 +14,7 @@ import pytest
 from medrex.cli import main
 from medrex.schema import CORP_HUS
 from medrex.standoff import read_corpus_dir
-from medrex.windowing import RelationClassMap, Vocabulary, encode_segment, make_segments
+from medrex.windowing import Vocabulary, encode_segment, make_segments, relation_classes
 
 from .test_cli import TINY_MODEL_FLAGS, _hash_dir
 
@@ -59,7 +59,7 @@ def test_train_writes_the_pinned_window_report(corpus, tmp_path):
 ])
 def test_every_encoded_segment_is_pinned(window, max_tokens, digest, corpus):
     docs = read_corpus_dir(str(corpus), CORP_HUS)
-    vocab, class_map = Vocabulary.build(docs), RelationClassMap(CORP_HUS)
+    vocab, class_map = Vocabulary.build(docs), relation_classes(CORP_HUS, False)
     rows = []
     for doc in docs:
         for seg in make_segments(doc, window, window // 2, max_tokens):

@@ -580,6 +580,10 @@ def _relation_types_as_a_string(header):
     header["config"]["schema"]["relation_types"] = "abcdefghijklmn"
 
 
+def _max_rel_dist_past_numpy(header):
+    header["config"]["model"]["max_rel_dist"] = 1 << 62  # relpos_emb would have 2**63 + 1 rows
+
+
 @pytest.mark.parametrize("edit, key", [
     (_drop_params, "'params'"),
     (_drop_vocab, "'vocab'"),
@@ -599,6 +603,7 @@ def _relation_types_as_a_string(header):
     (_tokens_after_the_reserved_ones, "vocabulary has"),
     (_a_repeated_vocabulary_token, "distinct strings"),
     (_an_extra_entity_type, "entity types"),
+    (_max_rel_dist_past_numpy, "'relpos_emb'"),
 ])
 def test_predict_rejects_a_hand_edited_checkpoint_header(edit, key, workspace, tmp_path, capsys):
     ckpt = tmp_path / "edited.ckpt"
@@ -727,3 +732,71 @@ def test_end_to_end_writes_what_predict_writes_over_tagger_files(workspace, tmp_
     for name in ("relations.jsonl", "frames.jsonl"):
         doc_ids = [json.loads(line)["doc_id"] for line in (e2e / name).read_text(encoding="utf-8").splitlines()]
         assert doc_ids[:1] == ["a-b"] and doc_ids == sorted(doc_ids, key=read_order.index), name
+
+
+def _dir_bytes(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("predict --ckpt {ckpt} --data {corpus} --out {corpus}", "--data"),
+    ("predict --ckpt {tmp}/missing.ckpt --data {corpus} --out {link}", "--data"),  # refused before the load
+    ("predict --ckpt {ckpt} --workdir {tmp} --data corpus --out ./link/../corpus/", "--data"),
+    ("end-to-end --ckpt {ckpt} --data {corpus} --gold {corpus} --out {corpus}", "--data"),
+    ("end-to-end --ckpt {ckpt} --data {data} --gold {corpus} --out {link}", "--gold"),
+    ("convert-frames --data {corpus} --out {link}", "--data"),
+])
+def test_an_out_that_names_an_input_directory_exits_6_and_writes_nothing(argv, flag, workspace, tmp_path, capsys):
+    corpus, link = tmp_path / "corpus", tmp_path / "link"
+    shutil.copytree(workspace / "data", corpus)
+    link.symlink_to(corpus, target_is_directory=True)
+    before = _dir_bytes(corpus)
+    paths = dict(ckpt=workspace / "ckpt" / "model.ckpt", corpus=corpus, link=link, data=workspace / "data", tmp=tmp_path)
+    assert run_cli(argv.format(**paths).split()) == 6
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "--out" in error["message"] and flag in error["message"]
+    assert _dir_bytes(corpus) == before
+
+
+@pytest.mark.parametrize("subcommand", ["train", "cost-report"])
+def test_a_model_numpy_cannot_hold_exits_3_naming_the_parameter(subcommand, workspace, tmp_path, capsys):
+    argv = [subcommand, "--data", workspace / "data", "--out", tmp_path / "t", "--max-rel-dist", 1 << 62]
+    assert run_cli(argv) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert "'relpos_emb'" in error["message"] and f"({2 * (1 << 62) + 1}, 75)" in error["message"]
+    assert not (tmp_path / "t").exists()
+
+
+def test_a_model_too_large_for_memory_exits_3_naming_the_parameter(workspace, tmp_path):
+    """--d-model 40000 asks 12.8 GB for each attention matrix; a 2 GB address-space limit makes numpy refuse it.
+
+    Only ever run such a size under the limit: without it, an overcommitting
+    kernel grants the array and the normal draw starts filling it.
+    """
+    limit = 2 << 30
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from medrex.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "t"), "--d-model", "40000"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "validation" and "shape (40000, 40000)" in error["message"]
+    assert not (tmp_path / "t").exists()
+
+
+def test_a_schema_file_resolves_against_workdir(workspace, tmp_path, capsys):
+    shutil.copytree(workspace / "data", tmp_path / "data")
+    from medrex.schema import CORP_HUS
+
+    # corp-hus without Route: a lax read types every Route entity OTHER
+    lists = {key: ", ".join(sorted(set(getattr(CORP_HUS, key)) - {"Route"}))
+             for key in ("entity_types", "relation_types", "attribute_types", "drug_types")}
+    (tmp_path / "prof.txt").write_text(
+        "name = no-route\n" + "".join(f"{key} = {value}\n" for key, value in lists.items()), encoding="utf-8")
+    assert run_cli(["stats", "--workdir", tmp_path, "--data", "data", "--schema", "prof.txt", "--lax"]) == 0
+    counts = json.loads(capsys.readouterr().out)["entity_counts"]
+    assert "OTHER" in counts and "Route" not in counts

@@ -107,6 +107,12 @@ def test_entities_match_modes():
         entities_match(a, b, "fuzzy")
 
 
+
+def test_evaluate_rejects_an_unknown_mode_before_scoring():
+    """With no predictions no candidate pair reaches ``entities_match``; the mode is still checked."""
+    with pytest.raises(EvaluationError, match="'bogus'"):
+        evaluate([tocilizumab_document()], {}, "bogus", CORP_HUS)
+
 # --- brute-force alignment oracle ------------------------------------------
 
 

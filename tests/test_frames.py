@@ -112,7 +112,7 @@ def test_drug_to_drug_relations_stay_outside_frames(corp_hus):
 
 
 def test_frames_to_relations_counts():
-    fs = FrameSet("d", (Frame("T1", (("T2", "Refer_to"), ("T3", "Refer_to"), ("T4", "Start"))),))
+    fs = FrameSet((Frame("T1", (("T2", "Refer_to"), ("T3", "Refer_to"), ("T4", "Start"))),))
     assert len(frames_to_relations(fs, include_same_frame=False)) == 3
     rels = frames_to_relations(fs, include_same_frame=True)
     assert len(rels) == 3 + 3  # 3 links + C(3,2) same-frame edges
@@ -252,7 +252,7 @@ def test_augment_tocilizumab_preserves_two_frames(corp_hus):
 
 def test_frames_jsonl_payload(corp_hus):
     doc = tocilizumab_document()
-    lines = frames_to_jsonl(doc, build_frames(doc, corp_hus))
+    lines = frames_to_jsonl([doc], corp_hus)
     assert len(lines) == 2
     import json
 

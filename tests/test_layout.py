@@ -220,3 +220,15 @@ def test_no_call_in_src_restates_a_dataclass_default():
         "keyword arguments in src/medrex that pass the called dataclass's own default (drop them):\n"
         + "\n".join(restated)
     )
+
+
+def test_every_name_the_benchmark_tracer_patches_exists(monkeypatch):
+    """``perfbench/tracing.py`` wraps medrex functions by name; a renamed or dropped one fails here, naming it."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer(True)
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

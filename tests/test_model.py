@@ -24,10 +24,10 @@ from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
 from medrex.windowing import (
     EncodedSegment,
-    RelationClassMap,
     Vocabulary,
     encode_segment,
     ordered_entity_pairs,
+    relation_classes,
     segment_corpus,
 )
 
@@ -35,6 +35,7 @@ from .conftest import (
     all_rows_logits,
     build_pair_targets,
     concat_pair_logits,
+    marker_sequence_by_token_scan,
     pair_target_logits,
     pair_target_loss,
     self_attention_with_two_key_transposes,
@@ -185,7 +186,7 @@ def test_pair_head_matches_the_concat_form_on_the_grad_check_fixture():
 def test_pair_head_matches_the_concat_form_on_a_train_wide_segment():
     gen = GenConfig(seed=7, doc_count=50)
     docs, schema = generate_corpus(gen), gen.schema()
-    vocab, class_map = Vocabulary.build(docs), RelationClassMap(schema)
+    vocab, class_map = Vocabulary.build(docs), relation_classes(schema, False)
     segments, _ = segment_corpus(docs, 1000, 500)
     widest = max(segments, key=lambda seg: len(seg.entities))
     relations = {d.doc_id: d.relations for d in docs}[widest.doc_id]
@@ -392,6 +393,36 @@ def test_baseline_marker_sequence():
         BaselinePairModel.marker_sequence(ids, (1, 3), (3, 4))
 
 
+@st.composite
+def _marker_cases(draw):
+    """A token stream and two token spans that do not overlap, in either order; one-token and adjacent spans included."""
+    before, first_len, gap, second_len, after = (draw(st.integers(lo, 4)) for lo in (0, 1, 0, 1, 0))
+    first = (before, before + first_len - 1)
+    second = (first[1] + 1 + gap, first[1] + gap + second_len)
+    ids = tuple(draw(st.lists(st.integers(5, 99), min_size=second[1] + 1 + after, max_size=second[1] + 1 + after)))
+    return ids, ((first, second) if draw(st.booleans()) else (second, first))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_marker_cases())
+def test_marker_sequence_matches_the_token_scan_oracle(case):
+    ids, (source, target) = case
+    assert BaselinePairModel.marker_sequence(ids, source, target) == marker_sequence_by_token_scan(ids, source, target)
+
+
+@pytest.mark.parametrize("source, target", [((1, 3), (3, 4)), ((3, 4), (1, 3)), ((2, 2), (2, 2)), ((0, 4), (2, 2))])
+def test_marker_sequence_rejects_overlapping_spans(source, target):
+    with pytest.raises(ModelError, match="overlap"):
+        BaselinePairModel.marker_sequence((10, 11, 12, 13, 14), source, target)
+
+
+@pytest.mark.parametrize("model_class", [PairwiseREModel, BaselinePairModel])
+def test_a_parameter_numpy_cannot_hold_raises_model_error_naming_it(model_class):
+    """2**62 rows of 16 float64 values overflow numpy's size before anything is allocated."""
+    with pytest.raises(ModelError, match=rf"'tok_emb' of shape \({1 << 62}, 16\)"):
+        model_class(_config(vocab_size=1 << 62))
+
+
 def test_baseline_forward_counts_per_segment():
     cfg = _config()
     pairwise = PairwiseREModel(cfg)
@@ -424,7 +455,7 @@ def _tiny_doc():
 def test_predict_relations_null_bias_yields_nothing():
     doc = _tiny_doc()
     vocab = Vocabulary.build([doc])
-    class_map = RelationClassMap(CORP_HUS)
+    class_map = relation_classes(CORP_HUS, False)
     cfg = _config(vocab_size=len(vocab), num_classes=len(class_map))
     model = PairwiseREModel(cfg)
     model.params["pair.fc2.b"].values[0] = 100.0
@@ -434,7 +465,7 @@ def test_predict_relations_null_bias_yields_nothing():
 def test_predict_relations_stride_invariant_for_short_doc():
     doc = _tiny_doc()
     vocab = Vocabulary.build([doc])
-    class_map = RelationClassMap(CORP_HUS)
+    class_map = relation_classes(CORP_HUS, False)
     cfg = _config(vocab_size=len(vocab), num_classes=len(class_map))
     model = PairwiseREModel(cfg)
     a = InferenceBundle(model, vocab, class_map, CORP_HUS, 300, 150).predict(doc)
@@ -448,7 +479,7 @@ def test_predict_relations_class_map_size_checked():
     cfg = _config(vocab_size=len(vocab), num_classes=5)
     model = PairwiseREModel(cfg)
     with pytest.raises(ModelError, match="class"):
-        InferenceBundle(model, vocab, RelationClassMap(CORP_HUS), CORP_HUS, 300, 150)
+        InferenceBundle(model, vocab, relation_classes(CORP_HUS, False), CORP_HUS, 300, 150)
 
 
 def _densest_corpus_segment():
@@ -458,7 +489,7 @@ def _densest_corpus_segment():
     """
     gen = GenConfig(seed=7, doc_count=6)
     docs, schema = generate_corpus(gen), gen.schema()
-    vocab, class_map = Vocabulary.build(docs), RelationClassMap(schema)
+    vocab, class_map = Vocabulary.build(docs), relation_classes(schema, False)
     segments, _ = segment_corpus(docs, 300, 150)
     widest = max(segments, key=lambda seg: len(seg.entities))
     relations = {d.doc_id: d.relations for d in docs}[widest.doc_id]
@@ -684,7 +715,7 @@ def _comma_dense_doc() -> Document:
 def test_predict_relations_scores_a_window_denser_than_max_positions_in_pieces():
     doc = _comma_dense_doc()
     vocab = Vocabulary.build([doc])
-    class_map = RelationClassMap(CORP_HUS)
+    class_map = relation_classes(CORP_HUS, False)
     model = PairwiseREModel(_config(vocab_size=len(vocab), num_classes=len(class_map), max_positions=64))
     model.params["pair.fc2.b"].values[1] = 100.0  # every scored pair predicts class 1
     predictions = InferenceBundle(model, vocab, class_map, CORP_HUS, 300, 150).predict(doc)

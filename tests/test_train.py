@@ -35,7 +35,7 @@ from medrex.train import (
     save_bundle,
     train,
 )
-from medrex.windowing import RelationClassMap, Vocabulary, WindowReport, ordered_entity_pairs
+from medrex.windowing import Vocabulary, WindowReport, ordered_entity_pairs, relation_classes
 
 from .conftest import (
     accumulate_copying_every_first_gradient,
@@ -504,7 +504,7 @@ _UNTRUSTED_ALPHABET = list("ab1 ,.;:-/()\n\t") + ["é", "ß", "日", "本", "€
 def _untrained_bundle() -> InferenceBundle:
     """A randomly initialised small model behind 40-character windows and a 12-token cap."""
     vocab = Vocabulary.build([Document("v", "a b ab 1 , . ; ( é ß 日本", (), ())])
-    class_map = RelationClassMap(CORP_HUS)
+    class_map = relation_classes(CORP_HUS, False)
     config = ModelConfig(vocab_size=len(vocab), num_entity_types=len(CORP_HUS.entity_types),
                          num_classes=len(class_map), max_positions=12, **TINY)
     return InferenceBundle(PairwiseREModel(config), vocab, class_map, CORP_HUS, window_chars=40, stride_chars=20)

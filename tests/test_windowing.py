@@ -9,7 +9,6 @@ from medrex.schema import CORP_HUS, OTHER_TYPE, SAME_FRAME
 from medrex.standoff import Document, Entity, Relation
 from medrex.synth import GenConfig, generate_corpus
 from medrex.windowing import (
-    RelationClassMap,
     TokenTable,
     Vocabulary,
     WindowingError,
@@ -19,6 +18,7 @@ from medrex.windowing import (
     encode_segment,
     make_segments,
     ordered_entity_pairs,
+    relation_classes,
     segment_corpus,
     window_starts,
 )
@@ -226,7 +226,7 @@ def _encoded(text, spans, relations):
         tuple(relations),
     )
     seg = make_segments(doc, 300, 150)[0]
-    class_map = RelationClassMap(CORP_HUS)
+    class_map = relation_classes(CORP_HUS, False)
     vocab = Vocabulary.build([doc])
     return encode_segment(seg, vocab, CORP_HUS, doc.relations, class_map), class_map
 
@@ -240,7 +240,7 @@ def test_pair_targets_m2():
     assert len(enc.class_ids) == 2
     typed = [row for row, class_id in enumerate(enc.class_ids) if class_id != 0]
     assert len(typed) == 1
-    assert class_map.name_for(enc.class_ids[typed[0]]) == "Refer_to"
+    assert class_map[enc.class_ids[typed[0]]] == "Refer_to"
     # source entity is the dosage: its head token is index 1
     a, b = ordered_entity_pairs(2)[typed[0]]
     assert (enc.entity_spans[a][0], enc.entity_spans[b][0]) == (1, 0)
@@ -284,9 +284,9 @@ def test_pair_targets_same_frame_requires_enabled_map():
     )
     seg = make_segments(doc, 300, 150)[0]
     vocab = Vocabulary.build([doc])
-    plain = encode_segment(seg, vocab, CORP_HUS, doc.relations, RelationClassMap(CORP_HUS))
+    plain = encode_segment(seg, vocab, CORP_HUS, doc.relations, relation_classes(CORP_HUS, False))
     assert sum(1 for class_id in plain.class_ids if class_id != 0) == 2
-    with_sf = encode_segment(seg, vocab, CORP_HUS, doc.relations, RelationClassMap(CORP_HUS, include_same_frame=True))
+    with_sf = encode_segment(seg, vocab, CORP_HUS, doc.relations, relation_classes(CORP_HUS, True))
     assert sum(1 for class_id in with_sf.class_ids if class_id != 0) == 3
 
 
@@ -297,7 +297,7 @@ def test_class_ids_match_the_pair_target_form_on_a_generated_corpus(schema_name,
     gen = GenConfig(seed=7, doc_count=50, schema_name=schema_name)
     schema = gen.schema()
     docs = [augment_document(d, schema) if same_frame else d for d in generate_corpus(gen)]
-    vocab, class_map = Vocabulary.build(docs), RelationClassMap(schema, include_same_frame=same_frame)
+    vocab, class_map = Vocabulary.build(docs), relation_classes(schema, same_frame)
     segments, _ = segment_corpus(docs, window, window // 2)
     relations = {d.doc_id: d.relations for d in docs}
     for seg in segments:
@@ -309,13 +309,13 @@ def test_class_ids_match_the_pair_target_form_on_a_generated_corpus(schema_name,
 
 
 def test_class_map_layout():
-    plain = RelationClassMap(CORP_HUS)
-    assert plain.name_for(0) == "NULL_REL"
+    plain = relation_classes(CORP_HUS, False)
+    assert plain[0] == "NULL_REL"
     assert len(plain) == len(CORP_HUS.relation_types) + 1
     assert SAME_FRAME not in plain
-    augmented = RelationClassMap(CORP_HUS, include_same_frame=True)
+    augmented = relation_classes(CORP_HUS, True)
     assert len(augmented) == len(plain) + 1
-    assert augmented.name_for(len(augmented) - 1) == SAME_FRAME
+    assert augmented[-1] == SAME_FRAME
 
 
 def test_vocabulary_build_and_unk():
@@ -441,7 +441,7 @@ def _encoded_rows(segments, encode):
 def test_segments_and_encodings_match_the_token_scan_oracle(drawn):
     """Windows, pieces, token ids, labels and entity spans equal those of per-window and per-entity token scans."""
     doc, window, stride, max_tokens = drawn
-    vocab, class_map = Vocabulary.build([doc]), RelationClassMap(CORP_HUS)
+    vocab, class_map = Vocabulary.build([doc]), relation_classes(CORP_HUS, False)
 
     def encode(seg):
         enc = encode_segment(seg, vocab, CORP_HUS, (), class_map)
